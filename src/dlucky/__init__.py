@@ -28,6 +28,7 @@ from .bounds import (
     enumerate_maximum_cliques,
     lower_bound_cor2,
     lower_bound_thm1,
+    lower_bound_thm1_witness,
 )
 from .families import (
     CocktailParams,
@@ -43,7 +44,6 @@ from .families import (
 )
 from .solver import (
     SolveResult,
-    available_backends,
     exact_eta,
     exists_labeling,
     solver_backend,
@@ -81,6 +81,7 @@ __all__ = [
     "enumerate_maximum_cliques",
     "lower_bound_cor2",
     "lower_bound_thm1",
+    "lower_bound_thm1_witness",
     "CocktailParams",
     "ConstructionError",
     "CoronaParams",
@@ -92,7 +93,6 @@ __all__ = [
     "descending_sum_tuple",
     "family_dsum_table",
     "SolveResult",
-    "available_backends",
     "exact_eta",
     "exists_labeling",
     "solver_backend",

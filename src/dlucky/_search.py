@@ -1,59 +1,53 @@
-"""Pure-Python backtracking kernel for the labeling search.
-
-Mirrors the compiled kernel in ``_searchcore.pyx`` operation for operation;
-both must visit the same nodes in the same order so that results and node
-counts are identical regardless of which backend is active.
-"""
+"""Backtracking kernel for the labeling search."""
 
 from __future__ import annotations
 
 
-def search(n, k, order, adj_start, adj_flat, chk_start, chk_u, chk_v, sums, labels):
+def search(k, steps):
     """Depth-first search for a conflict-free labeling into 1..k.
 
-    Vertices are assigned in ``order``; after placing the vertex at position
-    ``d``, exactly the edges listed in ``chk_*[chk_start[d]:chk_start[d+1]]``
-    have both endpoint sums final and are compared.  ``sums`` must start as
-    the degree array and ``labels`` as zeros; on success ``labels`` holds the
-    witness (indexed by vertex).  Returns ``(found, nodes)`` where ``nodes``
-    counts label placements attempted.
+    ``steps[d]`` is ``(v, neighbors of v, checks)``: the vertex placed at depth
+    ``d`` and the edges ``(u, w)`` whose two endpoint sums are final once it
+    is placed.  Labels are tried in increasing order, so the first labeling
+    found is the lexicographically smallest in step order.  The loop is
+    iterative: the depth reaches the vertex count, which ``vertex_cap`` lets
+    callers raise past the recursion limit.  Returns
+    ``(labels, nodes)``: the witness indexed by vertex, or None when no
+    labeling exists, and the number of label placements attempted.
     """
+    n = len(steps)
+    sums = [0] * n  # d-lucky sums: degree plus the labels placed on neighbors
+    for v, nbrs, _ in steps:
+        sums[v] = len(nbrs)
+    labels = [0] * n
     nodes = 0
     depth = 0
     start = 1
     while True:
-        v = order[depth]
-        placed = False
-        ell = start
-        while ell <= k:
+        v, nbrs, checks = steps[depth]
+        for ell in range(start, k + 1):
             nodes += 1
-            for i in range(adj_start[v], adj_start[v + 1]):
-                sums[adj_flat[i]] += ell
-            labels[v] = ell
-            ok = True
-            for i in range(chk_start[depth], chk_start[depth + 1]):
-                if sums[chk_u[i]] == sums[chk_v[i]]:
-                    ok = False
+            for w in nbrs:
+                sums[w] += ell
+            for u, w in checks:
+                if sums[u] == sums[w]:
                     break
-            if ok:
-                placed = True
+            else:  # no conflict: keep ell and go deeper
+                labels[v] = ell
                 break
-            for i in range(adj_start[v], adj_start[v + 1]):
-                sums[adj_flat[i]] -= ell
-            labels[v] = 0
-            ell += 1
-        if placed:
-            if depth == n - 1:
-                return True, nodes
-            depth += 1
-            start = 1
-        else:
+            for w in nbrs:
+                sums[w] -= ell
+        else:  # every label conflicts: undo the previous depth's label
             if depth == 0:
-                return False, nodes
+                return None, nodes
             depth -= 1
-            v = order[depth]
+            v, nbrs, _ = steps[depth]
             ell = labels[v]
-            for i in range(adj_start[v], adj_start[v + 1]):
-                sums[adj_flat[i]] -= ell
-            labels[v] = 0
+            for w in nbrs:
+                sums[w] -= ell
             start = ell + 1
+            continue
+        if depth == n - 1:
+            return labels, nodes
+        depth += 1
+        start = 1

@@ -41,39 +41,49 @@ def _pivot_search(g: Graph, report: Callable[[list[int]], int], floor: int) -> N
     for u, v in g.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
+    if not g.n:
+        return
 
-    def expand(clique: list[int], cand: int, done: int) -> None:
-        nonlocal floor
+    # Iterative: the search goes as deep as the largest clique, which may
+    # exceed the recursion limit.  Each open search node keeps a frame
+    # [cand, done, branch]; while one of its children is searched, that
+    # child's vertex ends ``clique``, so len(clique) == len(stack) means the
+    # top frame's child has finished.
+    clique: list[int] = []
+    stack: list[list[int]] = []
+    cand, done = (1 << g.n) - 1, 0
+    while True:
         if cand == 0 and done == 0:
             floor = report(clique)
+        elif len(clique) + cand.bit_count() >= floor:
+            # pivot: vertex of cand|done covering the most candidates (ties: smallest index)
+            pool = cand | done
+            pivot = -1
+            pivot_cover = -1
+            while pool:
+                u = (pool & -pool).bit_length() - 1
+                cover = (cand & masks[u]).bit_count()
+                if cover > pivot_cover:
+                    pivot_cover = cover
+                    pivot = u
+                pool &= pool - 1
+            stack.append([cand, done, cand & ~masks[pivot]])
+        while stack:
+            frame = stack[-1]
+            if len(clique) == len(stack):
+                bit = 1 << clique.pop()
+                frame[0] &= ~bit
+                frame[1] |= bit
+            branch = frame[2]
+            if branch:
+                frame[2] = branch & (branch - 1)
+                v = (branch & -branch).bit_length() - 1
+                clique.append(v)
+                cand, done = frame[0] & masks[v], frame[1] & masks[v]
+                break
+            stack.pop()
+        else:
             return
-        if len(clique) + cand.bit_count() < floor:
-            return
-        # pivot: vertex of cand|done covering the most candidates (ties: smallest index)
-        pool = cand | done
-        pivot = -1
-        pivot_cover = -1
-        p = pool
-        while p:
-            u = (p & -p).bit_length() - 1
-            cover = (cand & masks[u]).bit_count()
-            if cover > pivot_cover:
-                pivot_cover = cover
-                pivot = u
-            p &= p - 1
-        branch = cand & ~masks[pivot]
-        while branch:
-            bit = branch & -branch
-            v = bit.bit_length() - 1
-            clique.append(v)
-            expand(clique, cand & masks[v], done & masks[v])
-            clique.pop()
-            cand &= ~bit
-            done |= bit
-            branch &= branch - 1
-
-    if g.n:
-        expand([], (1 << g.n) - 1, 0)
 
 
 def enumerate_maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
@@ -136,13 +146,16 @@ def clique_bound(record: CliqueRecord, omega: int) -> int:
     return max(1, _ceil_div(2 * record.delta - record.max_deg + 1, denominator))
 
 
-def lower_bound_thm1(g: Graph, vertex_cap: int | None = None) -> int:
-    """Best clique-degree lower bound on the d-lucky number of a connected graph.
+def lower_bound_thm1_witness(
+    g: Graph, vertex_cap: int | None = None
+) -> tuple[int, CliqueRecord]:
+    """Theorem 1's bound on the d-lucky number of a connected graph, with its witness.
 
-    Disconnected input is a hard error (the bound's hypothesis), not a wrong
-    answer.  Enumeration of maximum cliques is uncapped by default here
-    because family instances routinely exceed the general-purpose guard of
-    :func:`enumerate_maximum_cliques`.
+    The witness is the first maximum clique, in lexicographic order, whose
+    bound is the largest.  Disconnected input is a hard error (the bound's
+    hypothesis), not a wrong answer.  Enumeration of maximum cliques is
+    uncapped by default here because family instances routinely exceed the
+    general-purpose guard of :func:`enumerate_maximum_cliques`.
     """
     if g.n < 1:
         raise ValueError("lower bound requires a nonempty graph")
@@ -150,7 +163,13 @@ def lower_bound_thm1(g: Graph, vertex_cap: int | None = None) -> int:
         raise ValueError("lower bound is stated for connected graphs only")
     records = enumerate_maximum_cliques(g, vertex_cap=vertex_cap)
     omega = len(records[0].vertices)
-    return max(clique_bound(record, omega) for record in records)
+    best = max(records, key=lambda record: clique_bound(record, omega))
+    return clique_bound(best, omega), best
+
+
+def lower_bound_thm1(g: Graph, vertex_cap: int | None = None) -> int:
+    """Best clique-degree lower bound; see :func:`lower_bound_thm1_witness`."""
+    return lower_bound_thm1_witness(g, vertex_cap)[0]
 
 
 def lower_bound_cor2(r: int, omega: int) -> int:

@@ -12,14 +12,13 @@ import json
 import sys
 
 from . import families
-from .bounds import clique_bound, enumerate_maximum_cliques, lower_bound_thm1
+from .bounds import lower_bound_thm1_witness
 from .dot import to_dot
 from .graph import (
     cartesian_product,
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    is_connected,
     path_graph,
 )
 from .labeling import max_label, verify
@@ -128,12 +127,8 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     graph = graph_from_json(_read(args.graph))
-    if graph.n < 1 or not is_connected(graph):
-        raise ValueError("lower bound requires a nonempty connected graph")
-    records = enumerate_maximum_cliques(graph, vertex_cap=args.vertex_cap)
-    omega = len(records[0].vertices)
-    best = max(records, key=lambda rec: clique_bound(rec, omega))
-    bound = lower_bound_thm1(graph, vertex_cap=args.vertex_cap)
+    bound, best = lower_bound_thm1_witness(graph, vertex_cap=args.vertex_cap)
+    omega = len(best.vertices)
     if args.json:
         obj = {
             "bound": bound,

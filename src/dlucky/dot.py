@@ -20,7 +20,8 @@ def to_dot(g: Graph, labeling: Labeling | None = None) -> str:
             attrs.append(f'label="{labeling[v]}"')
             attrs.append(f'dsum="{sums[v]}"')
         if g.tags is not None and g.tags[v]:
-            attrs.append(f'role="{g.tags[v]}"')
+            role = g.tags[v].replace("\\", "\\\\").replace('"', '\\"')
+            attrs.append(f'role="{role}"')
         if attrs:
             lines.append(f"  v{v} [{', '.join(attrs)}];")
         else:

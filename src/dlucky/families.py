@@ -25,6 +25,7 @@ from .graph import (
     path_graph,
     subdivide_edges,
 )
+from .bounds import _ceil_div
 from .labeling import ConflictReport, Labeling, max_label, verify
 
 
@@ -94,10 +95,6 @@ class LabeledFamily:
     claimed_eta: int
     role_index: dict[str, tuple[int, ...]] = field(default_factory=dict)
     params: object = None
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def descending_sum_tuple(total: int, length: int, k: int) -> tuple[int, ...]:

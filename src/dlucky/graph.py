@@ -7,7 +7,6 @@ across runs and platforms.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 
@@ -35,13 +34,14 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             normalized.add((u, v) if u < v else (v, u))
-        adj = [[] for _ in range(n)]
-        for u, v in sorted(normalized):
-            adj[u].append(v)
-            adj[v].append(u)
         self.n = n
         self.edges = tuple(sorted(normalized))
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        # walking the sorted edges appends every neighbor list in increasing order
+        adj = [[] for _ in range(n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = tuple(map(tuple, adj))
         if tags is not None:
             tags = tuple(str(t) for t in tags)
             if len(tags) != n:
@@ -182,11 +182,12 @@ def subdivide_edges(g: Graph, edges_to_split: Iterable[Sequence[int]]) -> Graph:
     edge, in lexicographic order of the replaced (normalized) edges.  Tags,
     when present, are extended with ``"subdivision"`` for the new vertices.
     """
+    present = set(g.edges)
     split = set()
     for edge in edges_to_split:
         u, v = edge
         e = (u, v) if u < v else (v, u)
-        if e not in set(g.edges):
+        if e not in present:
             raise ValueError(f"cannot subdivide non-edge {e}")
         split.add(e)
     ordered = sorted(split)
@@ -201,6 +202,19 @@ def subdivide_edges(g: Graph, edges_to_split: Iterable[Sequence[int]]) -> Graph:
     return Graph(g.n + len(ordered), edges, tags=tags)
 
 
+def _bfs(g: Graph, start: int, seen: list[bool]) -> list[int]:
+    """Unseen vertices reachable from ``start`` in breadth-first order, ties by
+    index; marks them seen."""
+    seen[start] = True
+    order = [start]
+    for u in order:  # the list grows while it is walked: it is the queue
+        for v in g.neighbors(u):
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+    return order
+
+
 def bfs_order(g: Graph) -> list[int]:
     """Breadth-first vertex order from vertex 0, ties by index.
 
@@ -209,32 +223,10 @@ def bfs_order(g: Graph) -> list[int]:
     seen = [False] * g.n
     order = []
     for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
+        if not seen[start]:
+            order += _bfs(g, start, seen)
     return order
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.n
+    return g.n <= 1 or len(_bfs(g, 0, [False] * g.n)) == g.n

@@ -9,8 +9,6 @@ endpoint sums final, so earlier checks would prune wrongly.  Budgets are tried
 k = 1, 2, ... so the first success is the exact minimum, and each smaller
 budget is certified infeasible either by the clique argument or by exhaustion.
 
-The hot loop lives in a compiled extension (``_searchcore``) when available,
-with a behaviorally identical pure-Python fallback selected at import time.
 Witnesses are the first labeling found, i.e. the lexicographically smallest
 one with respect to the search's vertex order; the clique check removes only
 budgets without any labeling, so it never changes a witness.
@@ -18,43 +16,24 @@ budgets without any labeling, so it never changes a witness.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
+from . import _search
 from .bounds import enumerate_maximal_cliques
 from .graph import Graph, bfs_order
 from .labeling import Labeling
-
-try:
-    from . import _searchcore as _compiled
-except ImportError:  # pragma: no cover - depends on build environment
-    _compiled = None
-from . import _search as _pure
-
-BACKEND = "compiled" if _compiled is not None else "pure"
 
 DEFAULT_VERTEX_CAP = 16
 
 
 def solver_backend() -> str:
-    """Name of the kernel selected at import: ``"compiled"`` or ``"pure"``."""
-    return BACKEND
+    """Name of the search kernel; the only one is the plain-Python ``"pure"``."""
+    return "pure"
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("compiled", "pure") if _compiled is not None else ("pure",)
-
-
-def _kernel(backend: str | None):
-    if backend is None:
-        return _compiled if _compiled is not None else _pure
-    if backend == "pure":
-        return _pure
-    if backend == "compiled":
-        if _compiled is None:
-            raise ValueError("compiled search kernel is not available in this install")
-        return _compiled
-    raise ValueError(f"unknown solver backend {backend!r}")
+def _kernel(_ignored=None):
+    """The module whose ``search`` runs the backtracking; tracers wrap it there."""
+    return _search
 
 
 @dataclass(frozen=True)
@@ -79,36 +58,20 @@ class SolveResult:
         return self.eta is None
 
 
-def _prepare(g: Graph):
-    """Flatten graph structure into the arrays the kernels consume."""
-    n = g.n
+def _prepare(g: Graph) -> tuple:
+    """The kernel's steps: per BFS position, the vertex, its neighbors and its edge checks.
+
+    Edge {u, v} is checked at the position of the last vertex of
+    N(u) | N(v), where both endpoint sums become final.
+    """
     order = bfs_order(g)
-    pos = [0] * n
+    pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-
-    adj_start = array("i", [0] * (n + 1))
-    adj_flat = array("i")
-    for v in range(n):
-        adj_start[v + 1] = adj_start[v] + g.degree(v)
-        adj_flat.extend(g.neighbors(v))
-
-    # edge {u, v} becomes checkable when the last vertex of N(u) | N(v) is placed
-    ready: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ready: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
-        last = max(pos[w] for w in set(g.neighbors(u)) | set(g.neighbors(v)))
-        ready[last].append((u, v))
-    chk_start = array("i", [0] * (n + 1))
-    chk_u = array("i")
-    chk_v = array("i")
-    for d in range(n):
-        chk_start[d + 1] = chk_start[d] + len(ready[d])
-        for u, v in ready[d]:
-            chk_u.append(u)
-            chk_v.append(v)
-
-    degrees = array("i", [g.degree(v) for v in range(n)])
-    return array("i", order), adj_start, adj_flat, chk_start, chk_u, chk_v, degrees
+        ready[max(pos[w] for w in g.neighbors(u) + g.neighbors(v))].append((u, v))
+    return tuple((v, g.neighbors(v), tuple(ready[d])) for d, v in enumerate(order))
 
 
 def _clique_members(g: Graph) -> list[list[tuple[int, int]]]:
@@ -144,36 +107,28 @@ def _clique_refutes(cliques: list[list[tuple[int, int]]], k: int) -> bool:
     return False
 
 
-def _run(kernel, g, k, prepared):
-    order, adj_start, adj_flat, chk_start, chk_u, chk_v, degrees = prepared
-    sums = array("i", degrees)
-    labels = array("i", bytes(4 * g.n))
-    found, nodes = kernel.search(
-        g.n, k, order, adj_start, adj_flat, chk_start, chk_u, chk_v, sums, labels
-    )
-    witness = Labeling(labels, k_max=k) if found else None
-    return witness, nodes
+def _run(k: int, steps: tuple) -> tuple[Labeling | None, int]:
+    labels, nodes = _search.search(k, steps)
+    return (Labeling(labels, k_max=k) if labels is not None else None), nodes
 
 
-def exists_labeling(g: Graph, k: int, backend: str | None = None) -> Labeling | None:
-    """A verifying labeling into 1..k, or None after certified exhaustion."""
+def _check_search_args(g: Graph, k: int) -> None:
     if g.n == 0:
         raise ValueError("search requires a nonempty graph")
     if k < 1:
-        raise ValueError("label budget k must be >= 1")
-    kernel = _kernel(backend)
+        raise ValueError(f"label budget must be >= 1, got {k}")
+
+
+def exists_labeling(g: Graph, k: int) -> Labeling | None:
+    """A verifying labeling into 1..k, or None after certified exhaustion."""
+    _check_search_args(g, k)
     if _clique_refutes(_clique_members(g), k):
         return None
-    witness, _ = _run(kernel, g, k, _prepare(g))
+    witness, _ = _run(k, _prepare(g))
     return witness
 
 
-def exact_eta(
-    g: Graph,
-    max_k: int,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    backend: str | None = None,
-) -> SolveResult:
+def exact_eta(g: Graph, max_k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveResult:
     """Least budget k <= max_k admitting a d-lucky labeling, with witness.
 
     Budgets are tried in increasing order, so success at k certifies that
@@ -181,22 +136,18 @@ def exact_eta(
     search.  Graphs above ``vertex_cap`` vertices are refused; raise the cap
     explicitly for bigger (slower) runs.
     """
-    if g.n == 0:
-        raise ValueError("search requires a nonempty graph")
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
+    _check_search_args(g, max_k)
     if g.n > vertex_cap:
         raise ValueError(
             f"graph has {g.n} vertices, above the solver vertex cap of {vertex_cap}"
         )
-    kernel = _kernel(backend)
-    prepared = _prepare(g)
+    steps = _prepare(g)
     cliques = _clique_members(g)
     total_nodes = 0
     for k in range(1, max_k + 1):
         if _clique_refutes(cliques, k):
             continue
-        witness, nodes = _run(kernel, g, k, prepared)
+        witness, nodes = _run(k, steps)
         total_nodes += nodes
         if witness is not None:
             return SolveResult(

@@ -6,6 +6,7 @@ from dlucky import (
     Graph,
     build_web,
     complete_graph,
+    corona,
     cycle_graph,
     enumerate_maximal_cliques,
     enumerate_maximum_cliques,
@@ -104,6 +105,11 @@ def test_lower_bound_rejects_disconnected_and_empty():
         lower_bound_thm1(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
         lower_bound_thm1(Graph(0))
+
+
+def test_lower_bound_on_a_clique_deeper_than_the_recursion_limit():
+    # build_corona(1000, 3)'s graph: the clique search goes 1000 vertices deep
+    assert lower_bound_thm1(corona(complete_graph(1000), Graph(3))) == 251
 
 
 def test_lower_bound_k1():

@@ -85,6 +85,13 @@ def test_dot_plain_and_annotated():
     assert '  v1 [label="2", dsum="2", role="pendant"];' in annotated
 
 
+def test_dot_escapes_quotes_and_backslashes_in_roles():
+    g = Graph(2, [(0, 1)], tags=['a"b', "c\\d"])
+    out = to_dot(g)
+    assert '  v0 [role="a\\"b"];' in out
+    assert '  v1 [role="c\\\\d"];' in out
+
+
 def test_dot_without_tags_or_labels():
     g = Graph(2, [(0, 1)])
     out = to_dot(g)
