@@ -42,11 +42,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(map(tuple, adj))
-        if tags is not None:
-            tags = tuple(str(t) for t in tags)
-            if len(tags) != n:
-                raise ValueError("tags length must equal vertex count")
-        self.tags = tags
+        self.tags = _checked_tags(tags, n)
 
     @property
     def edge_count(self) -> int:
@@ -70,8 +66,14 @@ class Graph:
         return v in self._adj[u]
 
     def with_tags(self, tags) -> "Graph":
-        """Copy of this graph carrying the given per-vertex tags."""
-        return Graph(self.n, self.edges, tags=tags)
+        """Copy of this graph carrying the given per-vertex tags.
+
+        The copy shares this graph's (immutable) edge tuple and adjacency.
+        """
+        copy = object.__new__(Graph)
+        copy.n, copy.edges, copy._adj = self.n, self.edges, self._adj
+        copy.tags = _checked_tags(tags, self.n)
+        return copy
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -83,6 +85,15 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
+
+
+def _checked_tags(tags, n: int) -> tuple[str, ...] | None:
+    if tags is None:
+        return None
+    tags = tuple(str(t) for t in tags)
+    if len(tags) != n:
+        raise ValueError("tags length must equal vertex count")
+    return tags
 
 
 def complete_graph(n: int) -> Graph:
@@ -205,10 +216,11 @@ def subdivide_edges(g: Graph, edges_to_split: Iterable[Sequence[int]]) -> Graph:
 def _bfs(g: Graph, start: int, seen: list[bool]) -> list[int]:
     """Unseen vertices reachable from ``start`` in breadth-first order, ties by
     index; marks them seen."""
+    adj = g._adj
     seen[start] = True
     order = [start]
     for u in order:  # the list grows while it is walked: it is the queue
-        for v in g.neighbors(u):
+        for v in adj[u]:
             if not seen[v]:
                 seen[v] = True
                 order.append(v)

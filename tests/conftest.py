@@ -51,6 +51,37 @@ def oracle_exists_labeling(g: Graph, k: int):
     return None
 
 
+def oracle_bfs_order(g: Graph):
+    """Breadth-first order from vertex 0, ties by index; later components from
+    their smallest vertex."""
+    order = []
+    for root in range(g.n):
+        if root in order:
+            continue
+        order.append(root)
+        i = len(order) - 1
+        while i < len(order):
+            u = order[i]
+            i += 1
+            order += [v for v in range(g.n) if v not in order and g.has_edge(u, v)]
+    return order
+
+
+def oracle_first_labeling(g: Graph, max_k: int):
+    """(eta, labels) for the least budget with a labeling, the labels being the
+    lexicographically smallest d-lucky ones read in breadth-first order;
+    (None, None) when no budget up to ``max_k`` has one."""
+    order = oracle_bfs_order(g)
+    for k in range(1, max_k + 1):
+        for values in itertools.product(range(1, k + 1), repeat=g.n):
+            labels = [0] * g.n
+            for v, x in zip(order, values):
+                labels[v] = x
+            if oracle_is_d_lucky(g, labels):
+                return k, labels
+    return None, None
+
+
 def oracle_eta(g: Graph, max_k: int):
     for k in range(1, max_k + 1):
         if oracle_exists_labeling(g, k) is not None:

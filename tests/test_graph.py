@@ -205,6 +205,18 @@ def test_tags_length_checked_and_ignored_by_equality():
     assert tagged == g
 
 
+def test_with_tags_keeps_the_graph_and_leaves_the_original_untagged():
+    g = Graph(4, [(2, 1), (0, 3), (1, 0)])
+    tagged = g.with_tags([1, "b", "c", "d"])
+    assert tagged.tags == ("1", "b", "c", "d") and g.tags is None
+    assert tagged.n == 4 and tagged.edges == ((0, 1), (0, 3), (1, 2))
+    assert [tagged.neighbors(u) for u in range(4)] == [g.neighbors(u) for u in range(4)]
+    assert tagged.with_tags(None).tags is None
+    for wrong in (["a", "b", "c"], ["a", "b", "c", "d", "e"]):
+        with pytest.raises(ValueError, match="tags length"):
+            tagged.with_tags(wrong)
+
+
 def test_is_connected():
     assert is_connected(path_graph(4))
     assert is_connected(Graph(1))
