@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 
 def hall_fails(los, his) -> bool:
     """True when the integer ranges ``[los[i], his[i]]`` admit no distinct values.
@@ -36,17 +38,25 @@ def _shift(lo, hi, own, outside, a, b):
 def search(k, steps, slots):
     """Depth-first search for a conflict-free labeling into 1..k.
 
-    ``steps[d]`` is ``(v, neighbors of v, checks, hall)``: the vertex placed
-    at depth ``d``, the edges ``(u, w)`` whose two endpoint sums are final
-    once it is placed, and ``hall``, which is None or ``(own, outside,
-    cliques)``.  ``slots[i]`` is ``(deg(v), |N(v) \\ Q|)`` for one vertex v
-    of one clique Q; slot i keeps the range ``[lo[i], hi[i]]`` of
+    ``steps[d]`` is ``(v, neighbors of v, checks, hall, live)``: the vertex
+    placed at depth ``d``, the edges ``(u, w)`` whose two endpoint sums are
+    final once it is placed, ``hall``, which is None or ``(own, outside,
+    cliques)``, and ``live``, which is None or an ``itemgetter`` of sums.
+    ``slots[i]`` is ``(deg(v), |N(v) \\ Q|)`` for one vertex v of one clique
+    Q; slot i keeps the range ``[lo[i], hi[i]]`` of
     ``t(v) = deg(v) - l(v) + sum of l(w) over w in N(v) \\ Q`` under the
     labels placed so far.  Placing v moves the slots in ``own`` (v's own) and
     ``outside`` (v is outside their clique, next to their vertex); after a
     placement passes its edge checks, each clique in ``cliques`` (an
     ``itemgetter`` of its slots) must pass :func:`hall_fails`, or the
     placement is undone.
+
+    ``live`` picks the sums that decide whether the labels not yet placed
+    can complete a labeling; their values on entry to depth ``d`` are its
+    key.  When the depth has tried every label, its key is recorded as
+    refuted; a later entry with a recorded key backtracks at once, places no
+    label and counts no node.  The keys are kept for this call only: they
+    hold for this ``k``.
 
     Labels are tried in increasing order, so the first labeling found is the
     lexicographically smallest in step order.  The loop is iterative: the
@@ -57,16 +67,22 @@ def search(k, steps, slots):
     """
     n = len(steps)
     sums = [0] * n  # d-lucky sums: degree plus the labels placed on neighbors
-    for v, nbrs, _, _ in steps:
+    for v, nbrs, _, _, _ in steps:
         sums[v] = len(nbrs)
     lo = [deg - k + s for deg, s in slots]
     hi = [deg - 1 + k * s for deg, s in slots]
     labels = [0] * n
+    refuted = defaultdict(set)  # depth -> keys whose subtree holds no labeling
+    keys = [None] * n  # each memoized depth's key on its latest entry
     nodes = 0
     depth = 0
     start = 1
     while True:
-        v, nbrs, checks, hall = steps[depth]
+        v, nbrs, checks, hall, live = steps[depth]
+        if live is not None and start == 1:
+            keys[depth] = key = live(sums)
+            if key in refuted[depth]:
+                start = k + 1  # the same state failed before: try no label
         for ell in range(start, k + 1):
             nodes += 1
             for w in nbrs:
@@ -89,11 +105,13 @@ def search(k, steps, slots):
                 _shift(lo, hi, own, outside, 1 - ell, ell - k)
             for w in nbrs:
                 sums[w] -= ell
-        else:  # every label conflicts: undo the previous depth's label
+        else:  # every label conflicts, or a memo hit tried none: undo the previous depth's label
+            if live is not None:
+                refuted[depth].add(keys[depth])
             if depth == 0:
                 return None, nodes
             depth -= 1
-            v, nbrs, _, hall = steps[depth]
+            v, nbrs, _, hall, _ = steps[depth]
             ell = labels[v]
             for w in nbrs:
                 sums[w] -= ell

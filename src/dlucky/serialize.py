@@ -19,6 +19,14 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _loads(text: str, what: str):
+    # a deeply nested document exhausts the decoder's recursion limit
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"invalid {what} file: {exc}") from None
+
+
 def graph_to_json(g: Graph) -> str:
     obj: dict = {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
     if g.tags is not None:
@@ -27,10 +35,7 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid graph file: {exc}") from None
+    obj = _loads(text, "graph")
     if not isinstance(obj, dict):
         raise ValueError("invalid graph file: expected a JSON object")
     unknown = set(obj) - {"n", "edges", "tags"}
@@ -61,10 +66,7 @@ def labeling_to_json(labeling: Labeling) -> str:
 
 
 def labeling_from_json(text: str) -> Labeling:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid labeling file: {exc}") from None
+    obj = _loads(text, "labeling")
     if not isinstance(obj, dict):
         raise ValueError("invalid labeling file: expected a JSON object")
     unknown = set(obj) - {"labels", "k"}

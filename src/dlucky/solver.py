@@ -21,15 +21,52 @@ d-lucky: the placement's subtree holds no labeling, and the placement is
 undone (it still counts as one node).  The rule removes only subtrees
 without a labeling, so each budget keeps its outcome and its first labeling.
 
+The search also remembers refuted states.  Take a fresh entry to depth d,
+the labels of the first d vertices placed.  The checks still to come are
+those at depth >= d; each compares two final sums, and a final sum is the
+current sum plus the labels of the neighbors not yet placed.  The current
+sum of a vertex with no placed neighbor is its degree, so whether some
+labels of the remaining vertices pass every check still to come depends only
+on d and the current sums of the live vertices: those with a check at depth
+>= d and a neighbor placed before d.  The search below the entry misses no
+labeling, because neither clique check removes one; so when it exhausts
+depth d, no completion exists, and none exists for any later entry to d
+with the same live sums.  The kernel records those sums as the depth's key
+and backtracks from a later entry with a recorded key (a memo hit) without
+placing a label.  The clique ranges are left out of the key: they can cut
+placements but never decide whether a completion exists.  Only subtrees
+without a labeling are skipped, so each budget keeps its outcome and its
+first labeling, and the nodes of the remaining subtrees are visited in the
+same order; a hit counts no node, so ``nodes_explored`` can only fall.
+
 Witnesses are the first labeling found, i.e. the lexicographically smallest
-one with respect to the search's vertex order; neither clique check removes
-a labeling, so neither changes a witness.
+one with respect to the search's vertex order; neither clique check nor the
+memo removes a labeling, so none of them changes a witness.
 
 The search tests cliques of at least ``HALL_MIN_SIZE`` = 4 vertices: on a
 triangle the test costs more than the placements it saves.  Over the
 connected graphs with up to 6 vertices, testing triangles as well cut the
 nodes from 319,512 to 277,348 but made the solves about 70% slower (Python
 3.11, 2-core x86_64).
+
+The memo costs a key per entry and the tables that build it, so it is kept
+to the depths where it can pay: those where some vertex's last check was
+one depth up (memoizing the other depths as well saved no node on the graphs
+below and cost up to 40% more time) and where at least ``MEMO_MIN_BELOW`` = 6
+vertices are left to place, so graphs with at most 6 vertices build no
+table.  Solve times of ``exact_eta(g, 6)`` on graphs outside the benchmark,
+in ms, least of 5 runs (Python 3.11, shared 2-core x86_64, runs differ by up
+to 30%), for ``MEMO_MIN_BELOW`` = 1 / 3 / 6 / 8 / memo off::
+
+    P_2 x C_15                    95    63    76   113  4611
+    C_25                         1.8   1.1   1.3   1.7  25.9
+    GP(9,2), few hits           10.0   8.7   8.7   8.9   7.0
+    GP(11,2), few hits          24.8  21.7  15.9  16.0  12.4
+    1,500 random, 7-9 vertices   267   241   210   209   178
+
+A lower gate saves nodes on the prisms and cycles (P_2 x C_15 takes 63,721
+nodes at 1, 93,885 at 6 and 4,777,501 with the memo off) and costs time on
+graphs whose states seldom repeat; 6 keeps most of the saving.
 """
 
 from __future__ import annotations
@@ -45,6 +82,7 @@ from .labeling import Labeling
 
 DEFAULT_VERTEX_CAP = 16
 HALL_MIN_SIZE = 4
+MEMO_MIN_BELOW = 6
 
 
 def solver_backend() -> str:
@@ -82,12 +120,12 @@ class SolveResult:
 def _prepare(g: Graph, cliques: list[list[tuple[int, int, int]]]) -> tuple[tuple, tuple]:
     """The kernel's steps and t-slots; see :func:`_search.search`.
 
-    Per BFS position: the vertex, its neighbors, its edge checks and its Hall
-    tables.  Edge {u, v} is checked at the position of the last vertex of
-    N(u) | N(v), where both endpoint sums become final.  Every vertex of
-    every clique in ``cliques`` (from :func:`_clique_members`) with at least
-    ``HALL_MIN_SIZE`` vertices gets a t-slot; a placement is Hall-tested on
-    the cliques whose slots it moves.
+    Per BFS position: the vertex, its neighbors, its edge checks, its Hall
+    tables and its memo key (see :func:`_memo_keys`).  Edge {u, v} is checked
+    at the position of the last vertex of N(u) | N(v), where both endpoint
+    sums become final.  Every vertex of every clique in ``cliques`` (from
+    :func:`_clique_members`) with at least ``HALL_MIN_SIZE`` vertices gets a
+    t-slot; a placement is Hall-tested on the cliques whose slots it moves.
     """
     adj = g._adj
     order = bfs_order(g)
@@ -118,8 +156,35 @@ def _prepare(g: Graph, cliques: list[list[tuple[int, int, int]]]) -> tuple[tuple
         clique = itemgetter(*range(first, len(slots)))
         for w in moved:
             hall[w][2].append(clique)
-    steps = tuple([(v, adj[v], ready[d], hall.get(v)) for d, v in enumerate(order)])
+    memo = _memo_keys(adj, order, ready) if g.n > MEMO_MIN_BELOW else [None] * g.n
+    steps = tuple([(v, adj[v], ready[d], hall.get(v), memo[d]) for d, v in enumerate(order)])
     return steps, tuple(slots)
+
+
+def _memo_keys(adj, order, ready) -> list:
+    """Per depth d, None or an ``itemgetter`` of the sums live at d.
+
+    A vertex is live at d when it has an edge check at depth >= d and a
+    neighbor placed before d.  Depth d is memoized when at least
+    ``MEMO_MIN_BELOW`` vertices are left to place and some vertex had its
+    last edge check at d - 1.
+    """
+    n = len(order)
+    first = [n] * n  # position of each vertex's first neighbor in the order
+    for i in range(n - 1, -1, -1):
+        for w in adj[order[i]]:
+            first[w] = i
+    final = [-1] * n  # depth of each vertex's last edge check
+    for d, checks in enumerate(ready):
+        for u, w in checks:
+            final[u] = final[w] = d
+    retiring = set(final)
+    memo: list = [None] * n
+    for d in range(1, n - MEMO_MIN_BELOW + 1):
+        live = [x for x in range(n) if first[x] < d <= final[x]]
+        if d - 1 in retiring and live:
+            memo[d] = itemgetter(*live)
+    return memo
 
 
 def _clique_members(g: Graph) -> list[list[tuple[int, int, int]]]:

@@ -115,6 +115,17 @@ def test_verify_length_mismatch_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_deeply_nested_input_exit_2(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    deep = tmp_path / "deep.json"
+    g.write_text('{"edges":[[0,1]],"n":2}\n')
+    deep.write_text("[" * 100000 + "\n")
+    for argv in (("solve", str(deep)), ("verify", str(g), str(deep))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: invalid ") and err.count("\n") == 1
+
+
 def test_verify_json_report(tmp_path, capsys):
     g = tmp_path / "g.json"
     lab = tmp_path / "l.json"

@@ -73,6 +73,14 @@ def test_labeling_from_json_validates():
         labeling_from_json('{"labels":[1],"extra":true}')
 
 
+def test_deeply_nested_files_are_invalid_not_a_crash():
+    deep = "[" * 100000
+    with pytest.raises(ValueError, match="invalid graph file"):
+        graph_from_json(deep)
+    with pytest.raises(ValueError, match="invalid labeling file"):
+        labeling_from_json(deep)
+
+
 def test_dot_plain_and_annotated():
     g = Graph(2, [(0, 1)], tags=["clique", "pendant"])
     plain = to_dot(g)

@@ -17,6 +17,7 @@ from dlucky import (
     solver_backend,
     verify,
 )
+from dlucky import solver
 from dlucky.solver import _clique_members, _clique_refutes
 from conftest import (
     connected_graphs,
@@ -123,6 +124,9 @@ def test_search_visit_order_is_pinned():
          [1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 1, 1]),
         (cartesian_product(path_graph(2), cycle_graph(7)), 3, 5193,
          [1, 1, 1, 1, 3, 1, 1, 1, 2, 1, 1, 1, 1, 2]),
+        (cartesian_product(path_graph(2), cycle_graph(9)), 3, 24222,
+         [1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 2]),
+        (cycle_graph(15), 3, 1115, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
     ]
     for g, eta, nodes, witness in cases:
         res = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
@@ -165,6 +169,39 @@ def test_eta_and_witness_match_the_breadth_first_oracle():
     for g in connected_graphs(5):
         res = exact_eta(g, max_k=g.n + 2)
         assert (res.eta, list(res.witness.labels)) == oracle_first_labeling(g, g.n + 2)
+
+
+def test_failure_memo_keeps_eta_and_witness_and_never_adds_nodes(monkeypatch):
+    # at its lowest gate the memo runs on graphs this small too, and it may
+    # only skip subtrees without a labeling.  No search state repeats on the
+    # graphs with up to 5 vertices; on a cycle or prism with one pendant
+    # vertex states repeat before the first labeling is found, and there the
+    # reference is the search with the memo off
+    small = list(connected_graphs(5))
+    bases = [cycle_graph(11), cycle_graph(13), cartesian_product(path_graph(2), cycle_graph(7))]
+    repeating = [
+        Graph(base.n + 1, list(base.edges) + [(j, base.n)]) for base in bases for j in range(base.n)
+    ]
+    monkeypatch.setattr(solver, "MEMO_MIN_BELOW", 10**9)
+    memo_off = [exact_eta(g, max_k=g.n + 2, vertex_cap=g.n) for g in small + repeating]
+    monkeypatch.setattr(solver, "MEMO_MIN_BELOW", 1)
+    saved = 0
+    for g, off in zip(small + repeating, memo_off):
+        res = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
+        expected = oracle_first_labeling(g, g.n + 2) if g.n <= 5 else (
+            off.eta, list(off.witness.labels))
+        assert (res.eta, list(res.witness.labels)) == expected
+        assert res.nodes_explored <= off.nodes_explored
+        saved += off.nodes_explored - res.nodes_explored
+    assert saved > 0
+
+
+def test_exists_labeling_on_a_prism_with_the_memo():
+    g = cartesian_product(path_graph(2), cycle_graph(9))
+    assert g.n > solver.MEMO_MIN_BELOW  # the default gate memoizes this graph
+    assert exists_labeling(g, 2) is None
+    found = exists_labeling(g, 3)
+    assert found is not None and verify(g, found).is_d_lucky
 
 
 def test_vertex_cap_enforced_and_adjustable():
