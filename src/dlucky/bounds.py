@@ -4,6 +4,12 @@ For a clique Q of a connected graph G with clique number w, every d-lucky
 labeling forces at least ``ceil((2*delta(Q) - Delta(Q) + 1) / (Delta(Q) - w + 2))``
 labels, where delta/Delta are the smallest and largest G-degrees over Q.
 The bound is evaluated over all largest cliques and clamped below at 1.
+
+The part bound of :mod:`dlucky.parts` counts over the parts of a complete
+multipartite subgraph instead of one clique, as the paper does for the
+cocktail-party graphs; it comes with a certificate that
+:func:`dlucky.parts.check_hall_bound` re-verifies.  On ``cocktail(2,14,1)``
+Theorem 1 gives 2 and the part bound 6, the optimum.
 """
 
 from __future__ import annotations

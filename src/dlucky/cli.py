@@ -2,7 +2,8 @@
 
 Files are the primary interchange; ``-`` stands for stdin/stdout.  Exit
 codes: 0 success, 1 semantic negative (conflicts found or search budget
-exceeded), 2 usage or format error.
+exceeded), 2 usage or format error, or any internal failure (one
+``error: internal error: ...`` line, no traceback).
 """
 
 from __future__ import annotations
@@ -129,6 +130,9 @@ def cmd_bound(args) -> int:
     graph = graph_from_json(_read(args.graph))
     bound, best = lower_bound_thm1_witness(graph, vertex_cap=args.vertex_cap)
     omega = len(best.vertices)
+    from .parts import lower_bound_hall_witness  # compiled only for this command
+
+    hall_bound, cert = lower_bound_hall_witness(graph)
     if args.json:
         obj = {
             "bound": bound,
@@ -136,6 +140,12 @@ def cmd_bound(args) -> int:
             "clique": list(best.vertices),
             "delta": best.delta,
             "max_deg": best.max_deg,
+            "hall": {
+                "bound": hall_bound,
+                "parts": [list(part) for part in cert.parts],
+                "interval": list(cert.interval) if cert.interval else None,
+                "overfull": list(cert.overfull),
+            },
         }
         sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
     else:
@@ -144,6 +154,12 @@ def cmd_bound(args) -> int:
             f"witness clique: {list(best.vertices)} "
             f"(delta={best.delta}, Delta={best.max_deg}, omega={omega})"
         )
+        line = f"part bound: {hall_bound} over {len(cert.parts)} part(s)"
+        if cert.interval:
+            a, b = cert.interval
+            line += (f"; with {hall_bound - 1} labels, {len(cert.overfull)} part ranges "
+                     f"lie in [{a}, {b}], which has {b - a + 1} values")
+        print(line)
     return 0
 
 
@@ -221,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bound", help="clique lower bound with witnessing clique")
+    p = sub.add_parser("bound", help="clique and part lower bounds with their witnesses")
     p.add_argument("graph")
     p.add_argument("--vertex-cap", type=int, default=None,
                    help="refuse clique enumeration above this many vertices")
@@ -255,6 +271,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, families.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means a semantic negative, never a crash
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal error: {detail}", file=sys.stderr)
         return 2
 
 

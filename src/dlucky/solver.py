@@ -1,15 +1,36 @@
 """Exact d-lucky numbers on small graphs by exhaustive backtracking.
 
 Before a label budget k reaches the search, a clique check (Theorem 1's
-pigeonhole argument, see :func:`_clique_refutes`) tries to refute it outright.
-A budget that survives is searched: labels are assigned in breadth-first
-vertex order (from vertex 0, ties by index) and checking an edge is deferred
-until every neighbor of both endpoints is labeled; only then are the two
-endpoint sums final, so earlier checks would prune wrongly.  Budgets are tried
-k = 1, 2, ... so the first success is the exact minimum, and each smaller
-budget is certified infeasible either by the clique argument or by exhaustion.
+pigeonhole argument, see :func:`_clique_refutes`) and a part check (below)
+try to refute it outright.  A budget that survives is searched: labels are
+assigned in breadth-first vertex order (from vertex 0, ties by index) and
+checking an edge is deferred until every neighbor of both endpoints is
+labeled; only then are the two endpoint sums final, so earlier checks would
+prune wrongly.  Budgets are tried k = 1, 2, ... so the first success is the
+exact minimum, and each smaller budget is certified infeasible either by the
+root checks or by exhaustion.
 
-Inside the search the same argument runs after every placement that passes
+The part check counts over the parts of a complete multipartite subgraph,
+as the paper does for the cocktail-party graphs.  Let parts P_1..P_t be
+independent sets, each completely joined to every other part, and let M be
+their union.  For v in P_i, ``d(v) = sum of l over M + t(v)`` with
+``t(v) = deg(v) - sum of l over P_i + sum of l over N(v) \\ M``.  Vertices in
+different parts are adjacent, so each part needs a t-value that no other part
+uses.  With ``s(v) = |N(v) \\ M|``, ``t(v)`` lies in
+``[deg(v) - k*|P_i| + s(v), deg(v) - |P_i| + k*s(v)]``; when the hulls of
+these ranges over each part fail :func:`_search.hall_fails`, no labeling
+into 1..k exists.  Parts of one vertex give the clique check.  The
+structures come from :func:`_part_structures`, which grows the maximal
+cliques by :func:`parts.grow_parts`.  Every clique range and part hull only
+widens as k grows, so once a budget passes both root checks every larger
+one does: :func:`exact_eta` tests nothing more from there, and the budgets
+the root checks refute are exactly those below the least one they pass.
+Only budgets are refuted, never a subtree, so the search, its visit order
+and the witness do not change; ``nodes_explored`` can only fall.  On
+``cocktail(2,6,1)`` the six base parts of two vertices refute k = 2, which
+the clique check passes: 405 nodes fall to 39.
+
+Inside the search the clique argument runs after every placement that passes
 its edge checks.  For a clique Q and v in Q, ``t(v) = deg(v) - l(v) + sum of
 l(w) over w in N(v) \\ Q`` must be pairwise distinct on Q in every d-lucky
 labeling (see :func:`_clique_refutes`).  Under a partial labeling, each label
@@ -40,14 +61,35 @@ first labeling, and the nodes of the remaining subtrees are visited in the
 same order; a hit counts no node, so ``nodes_explored`` can only fall.
 
 Witnesses are the first labeling found, i.e. the lexicographically smallest
-one with respect to the search's vertex order; neither clique check nor the
-memo removes a labeling, so none of them changes a witness.
+one with respect to the search's vertex order; neither clique check, the part
+check nor the memo removes a labeling, so none of them changes a witness.
 
 The search tests cliques of at least ``HALL_MIN_SIZE`` = 4 vertices: on a
 triangle the test costs more than the placements it saves.  Over the
 connected graphs with up to 6 vertices, testing triangles as well cut the
 nodes from 319,512 to 277,348 but made the solves about 70% slower (Python
 3.11, 2-core x86_64).
+
+Part structures are grown from the maximal cliques of at least
+``HALL_MIN_SIZE`` vertices, and only when there are two of them; of the
+27,476 connected graphs with up to 6 vertices, 1,455 pass that gate (17,638
+would at 3).  Nodes and solve times of ``exact_eta(g, n + 2)`` on graphs
+outside the benchmark, least of 3 runs (one run for the slow ones; Python
+3.11, shared 2-core x86_64, runs differ by up to 30%), with the part check
+off / grown from cliques of at least 3 vertices / at least 4 (the default)
+/ at least 4 with a lone such clique grown too::
+
+    cocktail(3,6,1)      143,300  235 s      438  388 ms      438  330 ms      438  328 ms
+    K_8 minus (6,7)      131,991  523 ms  13,437   65 ms   13,437   51 ms   13,437   53 ms
+    K_9 minus (7,8)    2,753,059 12.4 s  186,823  812 ms  186,823  874 ms  186,823  869 ms
+    400 random, 7-10     129,676  914 ms 126,734  884 ms  126,734  878 ms  126,734  863 ms
+    1,500 random, 7-9  1,101,791  5.1 s  444,185  2.1 s   444,185  2.0 s   444,185  2.1 s
+
+The three gates give the same nodes on these graphs (for the lone clique,
+as the argument in :func:`_part_structures` predicts), so the default builds
+least: nothing on most small graphs.
+(The 400 graphs have edge probability 0.4-0.85, seed 7; the 1,500 have
+0.2-0.9, seed 11.)
 
 The memo costs a key per entry and the tables that build it, so it is kept
 to the depths where it can pay: those where some vertex's last check was
@@ -196,8 +238,35 @@ def _clique_members(g: Graph) -> list[list[tuple[int, int, int]]]:
     ]
 
 
-def _clique_refutes(cliques: list[list[tuple[int, int, int]]], k: int) -> bool:
-    """True when some clique proves that no d-lucky labeling into 1..k exists.
+def _part_structures(g: Graph, cliques: list[list[tuple[int, int, int]]]) -> list:
+    """The :class:`parts.PartRanges` of each multipartite structure to test.
+
+    Each maximal clique of at least ``HALL_MIN_SIZE`` vertices grows by
+    :func:`parts.grow_parts`; a structure is kept when some part has 2 or
+    more vertices, and each distinct one once.  With fewer than two such
+    cliques nothing is built: a vertex that could join a lone clique Q would
+    lie in a second one, Q minus the member it misses plus itself.
+    """
+    big = [members for members in cliques if len(members) >= HALL_MIN_SIZE]
+    if len(big) < 2:
+        return []
+    from .parts import PartRanges, grow_parts  # not at module level: see the parts docstring
+
+    seen = set()
+    structures = []
+    for members in big:
+        parts = grow_parts(g, [v for v, _, _ in members])
+        if len(parts) == sum(map(len, parts)):
+            continue
+        key = frozenset(map(frozenset, parts))
+        if key not in seen:
+            seen.add(key)
+            structures.append(PartRanges(g, parts))
+    return structures
+
+
+def _clique_refutes(cliques: list[list[tuple[int, int, int]]], k: int, structures=()) -> bool:
+    """True when some clique or part structure proves that no d-lucky labeling into 1..k exists.
 
     For a clique Q, a vertex v of Q and ``S(v) = N(v) \\ Q``, the d-lucky sum
     splits as ``d(v) = t(v) + sum of l(w) over w in Q`` with
@@ -207,6 +276,9 @@ def _clique_refutes(cliques: list[list[tuple[int, int, int]]], k: int) -> bool:
     ``t(v)`` lies in ``[deg(v) - k + |S(v)|, deg(v) - 1 + k*|S(v)|]``.  If
     these ranges fail Hall's condition (:func:`_search.hall_fails`), no
     labeling into 1..k exists.  ``cliques`` comes from :func:`_clique_members`.
+    ``structures`` (from :func:`_part_structures`) get the same test on
+    their part ranges: the argument of :func:`parts.lower_bound_hall`, which
+    for parts of one vertex is the clique argument.
     """
     for members in cliques:
         if _search.hall_fails(
@@ -214,12 +286,16 @@ def _clique_refutes(cliques: list[list[tuple[int, int, int]]], k: int) -> bool:
             [deg - 1 + k * s for _, deg, s in members],
         ):
             return True
+    for ranges in structures:
+        if _search.hall_fails(*ranges.hulls(k)):
+            return True
     return False
 
 
 def _run(k: int, prepared: tuple) -> tuple[Labeling | None, int]:
     labels, nodes = _search.search(k, *prepared)
-    return (Labeling(labels, k_max=k) if labels is not None else None), nodes
+    # the kernel only places labels 1..k
+    return (Labeling._checked_by_caller(labels, k) if labels is not None else None), nodes
 
 
 def _check_search_args(g: Graph, k: int) -> None:
@@ -233,7 +309,7 @@ def exists_labeling(g: Graph, k: int) -> Labeling | None:
     """A verifying labeling into 1..k, or None after certified exhaustion."""
     _check_search_args(g, k)
     cliques = _clique_members(g)
-    if _clique_refutes(cliques, k):
+    if _clique_refutes(cliques, k, _part_structures(g, cliques)):
         return None
     witness, _ = _run(k, _prepare(g, cliques))
     return witness
@@ -253,11 +329,14 @@ def exact_eta(g: Graph, max_k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Sol
             f"graph has {g.n} vertices, above the solver vertex cap of {vertex_cap}"
         )
     cliques = _clique_members(g)
+    structures = _part_structures(g, cliques)
     prepared = _prepare(g, cliques)
     total_nodes = 0
     for k in range(1, max_k + 1):
-        if _clique_refutes(cliques, k):
+        if _clique_refutes(cliques, k, structures):
             continue
+        # the ranges only widen as k grows, so every later budget passes too
+        cliques = structures = ()
         witness, nodes = _run(k, prepared)
         total_nodes += nodes
         if witness is not None:

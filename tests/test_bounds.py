@@ -1,19 +1,28 @@
 import random
+import time
 
 import pytest
 
 from dlucky import (
     Graph,
+    build_cocktail,
     build_web,
     complete_graph,
     corona,
     cycle_graph,
     enumerate_maximal_cliques,
     enumerate_maximum_cliques,
+    exact_eta,
     lower_bound_cor2,
     lower_bound_thm1,
 )
-from conftest import oracle_maximal_cliques, oracle_maximum_cliques, random_graph
+from dlucky.parts import check_hall_bound, lower_bound_hall, lower_bound_hall_witness
+from conftest import (
+    connected_graphs,
+    oracle_maximal_cliques,
+    oracle_maximum_cliques,
+    random_graph,
+)
 
 
 def test_k5_single_maximum_clique():
@@ -142,6 +151,7 @@ def test_bound_sound_against_solver_on_random_corpus():
         result = exact_eta(g, max_k=8)
         assert result.eta is not None
         assert lower_bound_thm1(g) <= result.eta
+        assert lower_bound_hall(g) <= result.eta
         checked += 1
 
 
@@ -164,3 +174,68 @@ def test_thm1_matches_cor2_when_clique_degrees_equal():
             assert lower_bound_thm1(g) == lower_bound_cor2(r, omega)
             checked += 1
     assert checked > 5
+
+
+def test_hall_bound_never_exceeds_eta_on_small_connected_graphs():
+    raised = 0
+    for g in connected_graphs(6):
+        bound = lower_bound_hall(g)
+        eta = exact_eta(g, max_k=g.n + 2).eta
+        assert 1 <= bound <= eta
+        raised += bound > 1
+    assert raised > 0
+
+
+COCKTAILS = [(2, 6, 1), (3, 10, 1), (2, 14, 1), (4, 12, 1), (2, 30, 3), (5, 100, 5)]
+
+
+def test_hall_bound_is_the_cocktail_optimum():
+    # Theorem 1 gives 2 on the first three; the part bound counts over the
+    # base parts, as the paper's optimality argument does
+    for n, t, r in COCKTAILS:
+        fam = build_cocktail(n, t, r)
+        start = time.perf_counter()
+        bound, cert = lower_bound_hall_witness(fam.graph)
+        seconds = time.perf_counter() - start
+        assert bound == fam.claimed_eta
+        assert sorted(cert.parts) == [tuple(range(j * n, (j + 1) * n)) for j in range(t)]
+        assert check_hall_bound(fam.graph, bound, cert)
+    assert seconds < 1.0  # cocktail(5,100,5): 3,000 vertices, 5^100 maximum cliques
+
+
+def test_hall_bound_on_k8_minus_an_edge():
+    g = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) != (6, 7)])
+    bound, cert = lower_bound_hall_witness(g)
+    assert bound == 6 and lower_bound_thm1(g) == 3
+    assert cert.parts == ((0,), (1,), (2,), (3,), (4,), (5,), (6, 7))
+    assert cert.interval == (2, 6) and cert.overfull == (0, 1, 2, 3, 4, 5)
+
+
+def _certified(graphs):
+    for g in graphs:
+        bound, cert = lower_bound_hall_witness(g)
+        assert check_hall_bound(g, bound, cert)
+        yield g, bound, cert
+
+
+def test_checker_accepts_every_certificate():
+    rng = random.Random(331)
+    randoms = [random_graph(rng, rng.randint(2, 12), rng.uniform(0.3, 0.9)) for _ in range(200)]
+    cocktails = [build_cocktail(*params).graph for params in COCKTAILS[:4]]
+    assert sum(bound > 1 for _, bound, _ in _certified(connected_graphs(5))) > 0
+    assert sum(bound > 1 for _, bound, _ in _certified(randoms + cocktails)) > 0
+
+
+def test_checker_rejects_tampered_certificates():
+    g = build_cocktail(2, 6, 1).graph
+    bound, cert = lower_bound_hall_witness(g)
+    assert bound == 3 and check_hall_bound(g, bound, cert)
+    parts = list(cert.parts)
+    assert not check_hall_bound(g, bound + 1, cert)
+    merged = [parts[0] + parts[1]] + parts[2:]  # a part with internal edges
+    assert not check_hall_bound(g, bound, cert._replace(parts=tuple(merged)))
+    pendant = g.neighbors(parts[0][0])[-1]  # joined to one part only
+    loose = parts + [(pendant,)]
+    assert not check_hall_bound(g, bound, cert._replace(parts=tuple(loose)))
+    one_less = cert.overfull[:-1]  # the ranges then fit their interval
+    assert not check_hall_bound(g, bound, cert._replace(overfull=one_less))

@@ -1,6 +1,9 @@
 import json
 
-from dlucky import graph_from_json, labeling_from_json
+import pytest
+
+from dlucky import cli, graph_from_json, labeling_from_json
+from dlucky.parts import HallCertificate, check_hall_bound
 from dlucky.cli import main
 
 
@@ -150,6 +153,31 @@ def test_bound_on_web(tmp_path, capsys):
     assert data["delta"] == data["max_deg"] == 6
 
 
+def test_bound_reports_the_part_bound_with_its_certificate(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(capsys, "gen", "cocktail", "--n", "2", "--t", "14", "--r", "1", "-o", str(g))
+    code, stdout, _ = run(capsys, "bound", str(g), "--json")
+    assert code == 0
+    data = json.loads(stdout)
+    assert (data["bound"], data["omega"]) == (2, 14)  # Theorem 1's keys are unchanged
+    hall = data["hall"]
+    assert hall["bound"] == 6
+    assert hall["parts"] == [[2 * j, 2 * j + 1] for j in range(14)]
+    assert hall["interval"] == [18, 30] and hall["overfull"] == list(range(14))
+    cert = HallCertificate(
+        tuple(map(tuple, hall["parts"])), tuple(hall["interval"]), tuple(hall["overfull"])
+    )
+    assert check_hall_bound(graph_from_json(g.read_text()), hall["bound"], cert)
+    code, stdout, _ = run(capsys, "bound", str(g))
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[0] == "lower bound: 2" and len(lines) == 3
+    assert lines[2] == (
+        "part bound: 6 over 14 part(s); with 5 labels, 14 part ranges lie in [18, 30], "
+        "which has 13 values"
+    )
+
+
 def test_bound_rejects_disconnected(tmp_path, capsys):
     g = tmp_path / "g.json"
     g.write_text('{"edges":[[0,1],[2,3]],"n":4}\n')
@@ -225,3 +253,30 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     run(capsys, "gen", "web", "--m", "4", "--n", "7", "-o", str(a))
     run(capsys, "gen", "web", "--m", "4", "--n", "7", "-o", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("error", [RuntimeError("kernel state lost"), MemoryError()])
+def test_internal_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, error):
+    g = tmp_path / "g.json"
+    run(capsys, "gen", "complete", "--n", "3", "-o", str(g))
+
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_bound", broken)
+    code, stdout, err = run(capsys, "bound", str(g))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: internal error: " + type(error).__name__)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_keyboard_interrupt_is_not_swallowed(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "g.json"
+    run(capsys, "gen", "complete", "--n", "3", "-o", str(g))
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_solve", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["solve", str(g)])

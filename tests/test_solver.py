@@ -18,7 +18,7 @@ from dlucky import (
     verify,
 )
 from dlucky import solver
-from dlucky.solver import _clique_members, _clique_refutes
+from dlucky.solver import _clique_members, _clique_refutes, _part_structures
 from conftest import (
     connected_graphs,
     oracle_eta,
@@ -127,6 +127,12 @@ def test_search_visit_order_is_pinned():
         (cartesian_product(path_graph(2), cycle_graph(9)), 3, 24222,
          [1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 2]),
         (cycle_graph(15), 3, 1115, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
+        # the part check refutes k = 2 at the root (405 nodes without it)
+        (build_cocktail(2, 6, 1).graph, 3, 39,
+         [1, 3, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 1, 1, 1, 1, 2, 2, 3, 3, 1, 1, 1, 1]),
+        # K_8 minus (6, 7): parts {0}..{5}, {6, 7} refute k = 5 (131,991 without)
+        (Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) != (6, 7)]),
+         6, 13437, [1, 2, 3, 4, 5, 6, 1, 5]),
     ]
     for g, eta, nodes, witness in cases:
         res = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
@@ -160,6 +166,36 @@ def test_clique_refutation_agrees_with_oracle():
                 assert oracle_exists_labeling(g, k) is None
                 refuted += 1
     assert refuted > 0
+
+
+def test_part_refutation_agrees_with_oracle(monkeypatch):
+    # with the gate at 3, structures grow from triangles too, so graphs this
+    # small get part checks; each budget one refutes must have no labeling
+    monkeypatch.setattr(solver, "HALL_MIN_SIZE", 3)
+    refuted = beyond_cliques = 0
+    for g in connected_graphs(5):
+        cliques = _clique_members(g)
+        structures = _part_structures(g, cliques)
+        for k in range(1, g.n + 1):
+            if _clique_refutes([], k, structures):
+                assert oracle_exists_labeling(g, k) is None
+                refuted += 1
+                beyond_cliques += not _clique_refutes(cliques, k)
+    assert refuted > 0 and beyond_cliques > 0
+
+
+def test_part_structures_are_built_for_two_large_cliques_only():
+    assert _part_structures(complete_graph(6), _clique_members(complete_graph(6))) == []
+    g = build_cocktail(2, 6, 1).graph
+    cliques = _clique_members(g)
+    assert len(cliques) == 64  # every base transversal; all grow into one structure
+    (ranges,) = _part_structures(g, cliques)
+    assert ranges.sizes == [2] * 6
+    assert _clique_refutes(cliques, 2, [ranges]) and not _clique_refutes(cliques, 2)
+    assert not _clique_refutes(cliques, 3, [ranges])
+    assert exists_labeling(g, 2) is None
+    found = exists_labeling(g, 3)
+    assert found is not None and verify(g, found).is_d_lucky
 
 
 def test_eta_and_witness_match_the_breadth_first_oracle():
