@@ -40,14 +40,6 @@ class Labeling:
         self.labels = labels
         self.k_max = k_max
 
-    @classmethod
-    def _checked_by_caller(cls, labels: list[int], k_max: int) -> "Labeling":
-        """A labeling from labels the caller guarantees are ints in 1..k_max (a search witness)."""
-        labeling = object.__new__(cls)
-        labeling.labels = tuple(labels)
-        labeling.k_max = k_max
-        return labeling
-
     def __len__(self):
         return len(self.labels)
 

@@ -16,7 +16,7 @@ k grows, so the part bound is the least k whose ranges pass, and every
 smaller k fails.
 
 :func:`grow_parts` grows a structure from a maximal clique.  The solver grows
-one from each large maximal clique (see :func:`solver._part_structures`);
+one from each large maximal clique (see :func:`solver._root_structures`);
 :func:`lower_bound_hall` grows one from a single greedily chosen maximal
 clique, so it never lists cliques.  On ``cocktail(n, t, r)`` that finds the t
 base parts, whose equal ranges pass exactly when ``t <= (k-1)*(n+r) + 1``:
@@ -38,16 +38,17 @@ from typing import NamedTuple, Sequence
 
 from ._search import hall_fails
 from .graph import Graph
+from .solver import _part_hulls
 
 
 class HallCertificate(NamedTuple):
     """Why no labeling into 1..bound-1 exists: see :func:`check_hall_bound`.
 
     ``parts`` are the parts of a complete multipartite subgraph.  When the
-    bound is above 1, the ranges of the parts indexed by ``overfull`` lie
-    inside ``interval`` = ``[a, b]`` at ``k = bound - 1`` and outnumber its
-    ``b - a + 1`` values; otherwise ``interval`` is None and ``overfull``
-    is empty.
+    bound is above 1, ``a <= b`` and the ranges of the ``b - a + 2`` parts
+    indexed by ``overfull`` lie inside ``interval`` = ``[a, b]`` at
+    ``k = bound - 1``: one more than its values.  Otherwise ``interval`` is
+    None and ``overfull`` is empty.
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -93,37 +94,33 @@ def grow_parts(g: Graph, clique: Sequence[int]) -> list[list[int]]:
     return parts
 
 
-class PartRanges:
-    """The t-value ranges of the parts grown by :func:`grow_parts`.
+def part_ranges(g: Graph, parts: list[list[int]]) -> list[tuple[int, int, int, int]]:
+    """The parts grown by :func:`grow_parts` in the form of :func:`solver._part_hulls`.
 
-    Per part P, ``sizes`` holds |P| and ``members`` the pairs
-    ``(deg(v), s(v))`` of its vertices.  v in P_i is adjacent to exactly
-    M \\ P_i inside M, so ``s(v) = deg(v) - |M| + |P_i|``.
+    A vertex v of part P is adjacent to exactly M \\ P inside M, so
+    ``s(v) = deg(v) - |M| + |P|``; the least and the largest degree of P
+    give the ends of its hull.
     """
-
-    __slots__ = ("sizes", "members")
-
-    def __init__(self, g: Graph, parts: list[list[int]]):
-        adj = g._adj
-        size = sum(map(len, parts))
-        self.sizes = [len(p) for p in parts]
-        self.members = [[(len(adj[v]), len(adj[v]) - size + len(p)) for v in p] for p in parts]
-
-    def hulls(self, k: int) -> tuple[list[int], list[int]]:
-        """The low and high ends of each part's range under labels 1..k."""
-        los = [min(deg + s for deg, s in m) - k * p for p, m in zip(self.sizes, self.members)]
-        his = [max(deg + k * s for deg, s in m) - p for p, m in zip(self.sizes, self.members)]
-        return los, his
+    adj = g._adj
+    size = sum(map(len, parts))
+    ranges = []
+    for part in parts:
+        degs = [len(adj[v]) for v in part]
+        low, high = min(degs), max(degs)
+        outside = size - len(part)  # deg(v) - s(v) on this part
+        ranges.append((2 * low - outside, high, high - outside, len(part)))
+    return ranges
 
 
 def _greedy_clique(g: Graph) -> list[int]:
     """A maximal clique: repeatedly add the candidate of largest degree (ties: smallest index)."""
     adj = g._adj
-    best = max(range(g.n), key=lambda v: (len(adj[v]), -v))
+    rank = [len(adj[v]) * g.n - v for v in range(g.n)].__getitem__
+    best = max(range(g.n), key=rank)
     clique = [best]
     cand = set(adj[best])
     while cand:
-        best = max(cand, key=lambda v: (len(adj[v]), -v))
+        best = max(cand, key=rank)
         clique.append(best)
         cand.intersection_update(adj[best])
     return clique
@@ -160,19 +157,19 @@ def lower_bound_hall_witness(g: Graph) -> tuple[int, HallCertificate]:
     if g.n < 1:
         raise ValueError("lower bound requires a nonempty graph")
     parts = grow_parts(g, _greedy_clique(g))
-    ranges = PartRanges(g, parts)
+    ranges = part_ranges(g, parts)
     # every range has at least k values, so k = len(parts) passes
     low, high = 1, len(parts)
     while low < high:
         mid = (low + high) // 2
-        if hall_fails(*ranges.hulls(mid)):
+        if hall_fails(*_part_hulls(ranges, mid)):
             low = mid + 1
         else:
             high = mid
     frozen = tuple(tuple(p) for p in parts)
     if low == 1:
         return 1, HallCertificate(frozen, None, ())
-    a, b, over = _overfull(*ranges.hulls(low - 1))
+    a, b, over = _overfull(*_part_hulls(ranges, low - 1))
     return low, HallCertificate(frozen, (a, b), tuple(over))
 
 
@@ -185,12 +182,13 @@ def check_hall_bound(g: Graph, bound: int, cert: HallCertificate) -> bool:
     """True when ``cert`` proves that no d-lucky labeling of ``g`` uses labels 1..bound-1 only.
 
     Recomputed from the graph: the parts are disjoint nonempty independent
-    sets, completely joined to each other; and at ``k = bound - 1`` the
-    range ``[deg(v) - k*|P| + s(v), deg(v) - |P| + k*s(v)]`` of every vertex
-    v of every part P listed in ``overfull`` lies inside ``[a, b]``, with
-    more such parts than ``b - a + 1``.  A bound of 1 needs no interval.
+    sets, completely joined to each other; ``a <= b``; and at
+    ``k = bound - 1`` the range ``[deg(v) - k*|P| + s(v), deg(v) - |P| + k*s(v)]``
+    of every vertex v of every part P listed in ``overfull`` lies inside
+    ``[a, b]``, with ``b - a + 2`` such parts, one more than the values of
+    ``[a, b]``.  A bound of 1 needs no interval.
     """
-    if bound < 1:
+    if not isinstance(bound, int) or bound < 1:
         return False
     parts = [set(p) for p in cert.parts]
     union = set().union(*parts)
@@ -209,10 +207,12 @@ def check_hall_bound(g: Graph, bound: int, cert: HallCertificate) -> bool:
     if cert.interval is None:
         return False
     a, b = cert.interval
+    if not (isinstance(a, int) and isinstance(b, int) and a <= b):
+        return False
     chosen = set(cert.overfull)
     if len(chosen) != len(cert.overfull) or not chosen <= set(range(len(parts))):
         return False
-    if len(chosen) <= b - a + 1:
+    if len(chosen) != b - a + 2:
         return False
     k = bound - 1
     for i in chosen:

@@ -19,9 +19,11 @@ different parts are adjacent, so each part needs a t-value that no other part
 uses.  With ``s(v) = |N(v) \\ M|``, ``t(v)`` lies in
 ``[deg(v) - k*|P_i| + s(v), deg(v) - |P_i| + k*s(v)]``; when the hulls of
 these ranges over each part fail :func:`_search.hall_fails`, no labeling
-into 1..k exists.  Parts of one vertex give the clique check.  The
-structures come from :func:`_part_structures`, which grows the maximal
-cliques by :func:`parts.grow_parts`.  Every clique range and part hull only
+into 1..k exists.  Parts of one vertex give the clique check, so both
+checks take their ranges from one routine, :func:`_part_hulls`.  The
+structures come from :func:`_root_structures`: every clique as parts of one
+vertex, and the structures :func:`parts.grow_parts` grows from the large
+maximal cliques.  Every clique range and part hull only
 widens as k grows, so once a budget passes both root checks every larger
 one does: :func:`exact_eta` tests nothing more from there, and the budgets
 the root checks refute are exactly those below the least one they pass.
@@ -70,14 +72,13 @@ connected graphs with up to 6 vertices, testing triangles as well cut the
 nodes from 319,512 to 277,348 but made the solves about 70% slower (Python
 3.11, 2-core x86_64).
 
-Part structures are grown from the maximal cliques of at least
-``HALL_MIN_SIZE`` vertices, and only when there are two of them; of the
-27,476 connected graphs with up to 6 vertices, 1,455 pass that gate (17,638
-would at 3).  Nodes and solve times of ``exact_eta(g, n + 2)`` on graphs
-outside the benchmark, least of 3 runs (one run for the slow ones; Python
-3.11, shared 2-core x86_64, runs differ by up to 30%), with the part check
-off / grown from cliques of at least 3 vertices / at least 4 (the default)
-/ at least 4 with a lone such clique grown too::
+Part structures are grown from the maximal cliques of more than
+``HALL_MIN_SIZE`` vertices, and only when there are two of them.  Nodes and
+solve times of ``exact_eta(g, n + 2)`` on graphs outside the benchmark,
+least of 3 runs (one run for the slow ones; Python 3.11, shared 2-core
+x86_64, runs differ by up to 30%), with the part check off / grown from
+cliques of at least 3 vertices / at least 4 / at least 4 with a lone such
+clique grown too::
 
     cocktail(3,6,1)      143,300  235 s      438  388 ms      438  330 ms      438  328 ms
     K_8 minus (6,7)      131,991  523 ms  13,437   65 ms   13,437   51 ms   13,437   53 ms
@@ -85,9 +86,14 @@ off / grown from cliques of at least 3 vertices / at least 4 (the default)
     400 random, 7-10     129,676  914 ms 126,734  884 ms  126,734  878 ms  126,734  863 ms
     1,500 random, 7-9  1,101,791  5.1 s  444,185  2.1 s   444,185  2.0 s   444,185  2.1 s
 
-The three gates give the same nodes on these graphs (for the lone clique,
-as the argument in :func:`_part_structures` predicts), so the default builds
-least: nothing on most small graphs.
+These gates give the same nodes on these graphs (for the lone clique, as
+the argument in :func:`_root_structures` predicts).  Growing from cliques
+of at least 5 vertices, the default, gives the same nodes too, except
+444,677 on the 1,500 random graphs.  The gate is set by the connected
+graphs with up to 6 vertices: at 4, 1,455 of the 27,476 grow a structure
+(17,638 would at 3), which saves 1,718 of their 319,512 nodes but made the
+benchmark's corpus6 ``run_s`` 3.5% slower; at 5, 15 graphs grow, 774
+nodes are saved and ``run_s`` did not rise.
 (The 400 graphs have edge probability 0.4-0.85, seed 7; the 1,500 have
 0.2-0.9, seed 11.)
 
@@ -159,15 +165,15 @@ class SolveResult:
         return self.eta is None
 
 
-def _prepare(g: Graph, cliques: list[list[tuple[int, int, int]]]) -> tuple[tuple, tuple]:
+def _prepare(g: Graph, cliques: list[tuple[int, ...]]) -> tuple[tuple, tuple]:
     """The kernel's steps and t-slots; see :func:`_search.search`.
 
     Per BFS position: the vertex, its neighbors, its edge checks, its Hall
     tables and its memo key (see :func:`_memo_keys`).  Edge {u, v} is checked
     at the position of the last vertex of N(u) | N(v), where both endpoint
-    sums become final.  Every vertex of every clique in ``cliques`` (from
-    :func:`_clique_members`) with at least ``HALL_MIN_SIZE`` vertices gets a
-    t-slot; a placement is Hall-tested on the cliques whose slots it moves.
+    sums become final.  Every vertex of every clique in ``cliques`` with at
+    least ``HALL_MIN_SIZE`` vertices gets a t-slot; a placement is
+    Hall-tested on the cliques whose slots it moves.
     """
     adj = g._adj
     order = bfs_order(g)
@@ -182,14 +188,14 @@ def _prepare(g: Graph, cliques: list[list[tuple[int, int, int]]]) -> tuple[tuple
     slots: list[tuple[int, int]] = []
     # vertex -> (its own slots, slots it neighbors from outside, cliques to test)
     hall: defaultdict[int, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
-    for members in cliques:
-        if len(members) < HALL_MIN_SIZE:
+    for q in cliques:
+        if len(q) < HALL_MIN_SIZE:
             continue
         first = len(slots)
-        inside = {v for v, _, _ in members}
+        inside = set(q)
         moved = set(inside)
-        for i, (v, deg, s) in enumerate(members, first):
-            slots.append((deg, s))
+        for i, v in enumerate(q, first):
+            slots.append((len(adj[v]), len(adj[v]) - len(q) + 1))
             hall[v][0].append(i)
             for w in adj[v]:
                 if w not in inside:
@@ -229,43 +235,58 @@ def _memo_keys(adj, order, ready) -> list:
     return memo
 
 
-def _clique_members(g: Graph) -> list[list[tuple[int, int, int]]]:
-    """``(v, deg(v), |N(v) \\ Q|)`` per vertex v, for each maximal clique Q of size >= 3."""
-    adj = g._adj
-    return [
-        [(v, len(adj[v]), len(adj[v]) - len(q) + 1) for v in q]
-        for q in enumerate_maximal_cliques(g, min_size=3)
-    ]
+def _root_structures(g: Graph, cliques: list[tuple[int, ...]]) -> list[list[tuple[int, int, int, int]]]:
+    """The parts (see :func:`_part_hulls`) of every structure the root check tests.
 
-
-def _part_structures(g: Graph, cliques: list[list[tuple[int, int, int]]]) -> list:
-    """The :class:`parts.PartRanges` of each multipartite structure to test.
-
-    Each maximal clique of at least ``HALL_MIN_SIZE`` vertices grows by
-    :func:`parts.grow_parts`; a structure is kept when some part has 2 or
-    more vertices, and each distinct one once.  With fewer than two such
-    cliques nothing is built: a vertex that could join a lone clique Q would
-    lie in a second one, Q minus the member it misses plus itself.
+    First each clique of ``cliques``, in order, as parts of one vertex; a
+    vertex v of a clique Q has ``s(v) = |N(v) \\ Q| = deg(v) - |Q| + 1``.
+    Then the structures grown by :func:`parts.grow_parts` from the maximal
+    cliques of more than ``HALL_MIN_SIZE`` vertices (see the module
+    docstring); one is kept when some part has 2 or more vertices.  A clique inside the vertices of a kept
+    structure is not grown (all 64 cliques of ``cocktail(2,6,1)`` lie in the
+    first one), so every kept structure holds a seed clique that no earlier
+    one holds, and none is kept twice.  With fewer than two such cliques
+    nothing is grown: a vertex that could join a lone clique Q would lie in
+    a second one, Q minus the member it misses plus itself.
     """
-    big = [members for members in cliques if len(members) >= HALL_MIN_SIZE]
-    if len(big) < 2:
-        return []
-    from .parts import PartRanges, grow_parts  # not at module level: see the parts docstring
-
-    seen = set()
+    adj = g._adj
     structures = []
-    for members in big:
-        parts = grow_parts(g, [v for v, _, _ in members])
-        if len(parts) == sum(map(len, parts)):
+    big = []
+    for q in cliques:
+        inside = len(q) - 1  # deg(v) - s(v) on Q
+        structures.append([(2 * d - inside, d, d - inside, 1) for v in q for d in [len(adj[v])]])
+        if len(q) > HALL_MIN_SIZE:
+            big.append(q)
+    if len(big) < 2:
+        return structures
+    from .parts import grow_parts, part_ranges  # not at module level: see the parts docstring
+
+    grown = []  # the vertex set of each kept structure
+    for q in big:
+        if any(grown_set.issuperset(q) for grown_set in grown):
             continue
-        key = frozenset(map(frozenset, parts))
-        if key not in seen:
-            seen.add(key)
-            structures.append(PartRanges(g, parts))
+        parts = grow_parts(g, q)
+        if len(parts) < sum(map(len, parts)):
+            grown.append(set().union(*parts))
+            structures.append(part_ranges(g, parts))
     return structures
 
 
-def _clique_refutes(cliques: list[list[tuple[int, int, int]]], k: int, structures=()) -> bool:
+def _part_hulls(parts: list[tuple[int, int, int, int]], k: int) -> tuple[list[int], list[int]]:
+    """The low and high ends of each part's t-range under labels 1..k.
+
+    A part P is ``(lo, deg, s, |P|)``: ``lo`` is the least ``deg(v) + s(v)``
+    over P, and ``deg``, ``s`` are those of its vertex of largest s(v).
+    Inside M a vertex of P is adjacent to exactly M \\ P, so ``deg(v) - s(v)``
+    is the same on all of P, and the hull of the ranges
+    ``[deg(v) - k*|P| + s(v), deg(v) - |P| + k*s(v)]`` is
+    ``[lo - k*|P|, deg + k*s - |P|]``.  For a clique member, a part of one
+    vertex, that is the range of :func:`_clique_refutes`.
+    """
+    return [lo - k * p for lo, _, _, p in parts], [deg + k * s - p for _, deg, s, p in parts]
+
+
+def _clique_refutes(structures: list, k: int) -> bool:
     """True when some clique or part structure proves that no d-lucky labeling into 1..k exists.
 
     For a clique Q, a vertex v of Q and ``S(v) = N(v) \\ Q``, the d-lucky sum
@@ -275,27 +296,19 @@ def _clique_refutes(cliques: list[list[tuple[int, int, int]]], k: int, structure
     so their ``t`` values must be pairwise distinct.  With labels in 1..k,
     ``t(v)`` lies in ``[deg(v) - k + |S(v)|, deg(v) - 1 + k*|S(v)|]``.  If
     these ranges fail Hall's condition (:func:`_search.hall_fails`), no
-    labeling into 1..k exists.  ``cliques`` comes from :func:`_clique_members`.
-    ``structures`` (from :func:`_part_structures`) get the same test on
-    their part ranges: the argument of :func:`parts.lower_bound_hall`, which
-    for parts of one vertex is the clique argument.
+    labeling into 1..k exists.  ``structures`` comes from
+    :func:`_root_structures`: the cliques as parts of one vertex, and the
+    grown structures, whose argument the module docstring gives.
     """
-    for members in cliques:
-        if _search.hall_fails(
-            [deg - k + s for _, deg, s in members],
-            [deg - 1 + k * s for _, deg, s in members],
-        ):
-            return True
-    for ranges in structures:
-        if _search.hall_fails(*ranges.hulls(k)):
+    for parts in structures:
+        if _search.hall_fails(*_part_hulls(parts, k)):
             return True
     return False
 
 
 def _run(k: int, prepared: tuple) -> tuple[Labeling | None, int]:
     labels, nodes = _search.search(k, *prepared)
-    # the kernel only places labels 1..k
-    return (Labeling._checked_by_caller(labels, k) if labels is not None else None), nodes
+    return (Labeling(labels, k_max=k) if labels is not None else None), nodes
 
 
 def _check_search_args(g: Graph, k: int) -> None:
@@ -308,8 +321,8 @@ def _check_search_args(g: Graph, k: int) -> None:
 def exists_labeling(g: Graph, k: int) -> Labeling | None:
     """A verifying labeling into 1..k, or None after certified exhaustion."""
     _check_search_args(g, k)
-    cliques = _clique_members(g)
-    if _clique_refutes(cliques, k, _part_structures(g, cliques)):
+    cliques = enumerate_maximal_cliques(g, min_size=3)
+    if _clique_refutes(_root_structures(g, cliques), k):
         return None
     witness, _ = _run(k, _prepare(g, cliques))
     return witness
@@ -328,15 +341,15 @@ def exact_eta(g: Graph, max_k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Sol
         raise ValueError(
             f"graph has {g.n} vertices, above the solver vertex cap of {vertex_cap}"
         )
-    cliques = _clique_members(g)
-    structures = _part_structures(g, cliques)
+    cliques = enumerate_maximal_cliques(g, min_size=3)
+    structures = _root_structures(g, cliques)
     prepared = _prepare(g, cliques)
     total_nodes = 0
     for k in range(1, max_k + 1):
-        if _clique_refutes(cliques, k, structures):
+        if _clique_refutes(structures, k):
             continue
         # the ranges only widen as k grows, so every later budget passes too
-        cliques = structures = ()
+        structures = ()
         witness, nodes = _run(k, prepared)
         total_nodes += nodes
         if witness is not None:

@@ -16,7 +16,7 @@ from dlucky import (
     lower_bound_cor2,
     lower_bound_thm1,
 )
-from dlucky.parts import check_hall_bound, lower_bound_hall, lower_bound_hall_witness
+from dlucky.parts import HallCertificate, check_hall_bound, lower_bound_hall, lower_bound_hall_witness
 from conftest import (
     connected_graphs,
     oracle_maximal_cliques,
@@ -239,3 +239,12 @@ def test_checker_rejects_tampered_certificates():
     assert not check_hall_bound(g, bound, cert._replace(parts=tuple(loose)))
     one_less = cert.overfull[:-1]  # the ranges then fit their interval
     assert not check_hall_bound(g, bound, cert._replace(overfull=one_less))
+    # still over-filled, but a certificate lists exactly b - a + 2 parts
+    one_more = tuple(range(len(cert.overfull) + 1))
+    assert len(one_more) <= len(parts)
+    assert not check_hall_bound(g, bound, cert._replace(overfull=one_more))
+    # an inverted interval has a negative count of values, which no parts
+    # at all would exceed
+    inverted = cert._replace(interval=(5, 3), overfull=())
+    assert not check_hall_bound(g, bound, inverted)
+    assert not check_hall_bound(g, 100, HallCertificate((), (5, 3), ()))

@@ -18,7 +18,8 @@ from dlucky import (
     verify,
 )
 from dlucky import solver
-from dlucky.solver import _clique_members, _clique_refutes, _part_structures
+from dlucky.bounds import enumerate_maximal_cliques
+from dlucky.solver import _clique_refutes, _root_structures
 from conftest import (
     connected_graphs,
     oracle_eta,
@@ -160,39 +161,43 @@ def test_budget_exhaustion_is_reported():
 def test_clique_refutation_agrees_with_oracle():
     refuted = 0
     for g in connected_graphs(5):
-        cliques = _clique_members(g)
+        structures = _root_structures(g, enumerate_maximal_cliques(g, min_size=3))
         for k in (1, 2, 3):
-            if _clique_refutes(cliques, k):
+            if _clique_refutes(structures, k):
                 assert oracle_exists_labeling(g, k) is None
                 refuted += 1
     assert refuted > 0
 
 
 def test_part_refutation_agrees_with_oracle(monkeypatch):
-    # with the gate at 3, structures grow from triangles too, so graphs this
+    # with the gate at 2, structures grow from triangles too, so graphs this
     # small get part checks; each budget one refutes must have no labeling
-    monkeypatch.setattr(solver, "HALL_MIN_SIZE", 3)
+    monkeypatch.setattr(solver, "HALL_MIN_SIZE", 2)
     refuted = beyond_cliques = 0
     for g in connected_graphs(5):
-        cliques = _clique_members(g)
-        structures = _part_structures(g, cliques)
+        cliques = enumerate_maximal_cliques(g, min_size=3)
+        structures = _root_structures(g, cliques)
+        singles, grown = structures[: len(cliques)], structures[len(cliques) :]
         for k in range(1, g.n + 1):
-            if _clique_refutes([], k, structures):
+            if _clique_refutes(grown, k):
                 assert oracle_exists_labeling(g, k) is None
                 refuted += 1
-                beyond_cliques += not _clique_refutes(cliques, k)
+                beyond_cliques += not _clique_refutes(singles, k)
     assert refuted > 0 and beyond_cliques > 0
 
 
 def test_part_structures_are_built_for_two_large_cliques_only():
-    assert _part_structures(complete_graph(6), _clique_members(complete_graph(6))) == []
+    k6 = complete_graph(6)
+    assert len(_root_structures(k6, enumerate_maximal_cliques(k6, min_size=3))) == 1
     g = build_cocktail(2, 6, 1).graph
-    cliques = _clique_members(g)
+    cliques = enumerate_maximal_cliques(g, min_size=3)
     assert len(cliques) == 64  # every base transversal; all grow into one structure
-    (ranges,) = _part_structures(g, cliques)
-    assert ranges.sizes == [2] * 6
-    assert _clique_refutes(cliques, 2, [ranges]) and not _clique_refutes(cliques, 2)
-    assert not _clique_refutes(cliques, 3, [ranges])
+    structures = _root_structures(g, cliques)
+    singles, (parts,) = structures[:64], structures[64:]
+    assert all(size == 1 for single in singles for *_, size in single)
+    assert [size for *_, size in parts] == [2] * 6
+    assert _clique_refutes([parts], 2) and not _clique_refutes(singles, 2)
+    assert not _clique_refutes([parts], 3)
     assert exists_labeling(g, 2) is None
     found = exists_labeling(g, 3)
     assert found is not None and verify(g, found).is_d_lucky
