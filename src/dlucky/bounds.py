@@ -1,9 +1,44 @@
-"""Clique enumeration (maximal and maximum) and the clique-degree lower bound.
+"""Clique searches and Theorem 1's clique-degree lower bound.
 
 For a clique Q of a connected graph G with clique number w, every d-lucky
-labeling forces at least ``ceil((2*delta(Q) - Delta(Q) + 1) / (Delta(Q) - w + 2))``
+labeling forces at least ``f(Q) = ceil((2*delta(Q) - Delta(Q) + 1) / (Delta(Q) - w + 2))``
 labels, where delta/Delta are the smallest and largest G-degrees over Q.
-The bound is evaluated over all largest cliques and clamped below at 1.
+The bound is the largest f over the maximum cliques, clamped below at 1,
+and its witness is the first maximum clique, in lexicographic order, that
+attains it.  Two branch-and-bound searches over bitmask vertex sets find
+both without listing the maximum cliques; ``cocktail(n, t, r)`` has n^t.
+
+1. **w** (:func:`_omega`), by a maximum-clique search with the colouring
+   bound of Tomita and Seki's MCQ.  The first incumbent is the degree-greedy
+   clique :func:`_greedy_clique`.  A node is a clique C with its candidates
+   P, the vertices adjacent to all of C.  Greedy colouring splits P into
+   independent sets, and a clique holds at most one vertex of each, so no
+   clique through C has more than |C| + (colour classes of P) vertices:
+   when that is at most the best size found, the node is cut.
+2. **The witness** (:func:`_best_clique`), by a depth-first walk over the
+   cliques in lexicographic order: a child adds a candidate above C's last
+   vertex.  A vertex of a w-clique has degree at least w - 1, so only those
+   vertices are candidates, and every denominator is at least 1.  Two cuts:
+
+   - A level returns once |C| plus its candidates not yet tried is below w:
+     every w-clique below it would need that many vertices.
+   - A clique Q containing C has ``delta(Q) <= lo`` and ``Delta(Q) >= hi``,
+     the least and largest degree over C.  The clamped f rises with delta
+     and falls with Delta (with Delta >= w - 1, a larger Delta shrinks the
+     numerator and grows the denominator, and a numerator at or below 0
+     clamps to 1), so ``f(lo, hi)`` bounds every w-clique below C.  Until
+     the first w-clique is found, the incumbent value is the greedy
+     clique's when that is a w-clique (else 1, which f never falls below),
+     and a child is skipped only when its bound is strictly lower, because a
+     clique of equal value may come earlier in lexicographic order than the
+     greedy one.  From then on the incumbent is the best clique found, and a
+     child is skipped when its bound is no higher: every later clique comes
+     later in lexicographic order.  So the first clique found with the best
+     value is the documented witness.
+
+:func:`enumerate_maximum_cliques` takes w from search 1 and lists the
+maximal cliques of at least w vertices with the one Bron-Kerbosch search,
+:func:`_pivot_search`, which also serves :func:`enumerate_maximal_cliques`.
 
 The part bound of :mod:`dlucky.parts` counts over the parts of a complete
 multipartite subgraph instead of one clique, as the paper does for the
@@ -15,7 +50,6 @@ Theorem 1 gives 2 and the part bound 6, the optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .graph import Graph, is_connected
 
@@ -34,22 +68,42 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _pivot_search(g: Graph, report: Callable[[list[int]], int], floor: int) -> None:
-    """Bron-Kerbosch search with pivoting over bitmask vertex sets.
-
-    Calls ``report`` at most once with each maximal clique of ``g``.  Each
-    call returns the new size floor (``floor`` is the initial one); branches
-    whose clique plus candidates fall below the floor are cut, so every
-    maximal clique that reaches the floor is reported.  Some smaller ones are
-    reported too, so ``report`` filters.
-    """
+def _masks(g: Graph) -> list[int]:
+    """The neighborhood of each vertex as a bitmask."""
     masks = [0] * g.n
     for u, v in g.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    if not g.n:
-        return
+    return masks
 
+
+def _greedy_clique(g: Graph) -> list[int]:
+    """A maximal clique: repeatedly add the candidate of largest degree (ties: smallest index).
+
+    The candidates of the next pick are the common neighbors of the picks so
+    far, so one scan in that order of preference picks the same vertices.
+    """
+    adj = g._adj
+    order = sorted(range(g.n), key=[v - len(adj[v]) * g.n for v in range(g.n)].__getitem__)
+    clique = [order[0]]
+    cand = set(adj[order[0]])
+    for v in order:
+        if not cand:
+            break
+        if v in cand:
+            clique.append(v)
+            cand.intersection_update(adj[v])
+    return clique
+
+
+def _pivot_search(masks: list[int], min_size: int) -> list[tuple[int, ...]]:
+    """Every maximal clique with at least ``min_size`` vertices, by Bron-Kerbosch with pivoting.
+
+    Branches whose clique plus candidates fall below ``min_size`` are cut.
+    """
+    found: list[tuple[int, ...]] = []
+    if not masks:
+        return found
     # Iterative: the search goes as deep as the largest clique, which may
     # exceed the recursion limit.  Each open search node keeps a frame
     # [cand, done, branch]; while one of its children is searched, that
@@ -57,11 +111,12 @@ def _pivot_search(g: Graph, report: Callable[[list[int]], int], floor: int) -> N
     # top frame's child has finished.
     clique: list[int] = []
     stack: list[list[int]] = []
-    cand, done = (1 << g.n) - 1, 0
+    cand, done = (1 << len(masks)) - 1, 0
     while True:
         if cand == 0 and done == 0:
-            floor = report(clique)
-        elif len(clique) + cand.bit_count() >= floor:
+            if len(clique) >= min_size:
+                found.append(tuple(sorted(clique)))
+        elif len(clique) + cand.bit_count() >= min_size:
             # pivot: vertex of cand|done covering the most candidates (ties: smallest index)
             pool = cand | done
             pivot = -1
@@ -89,7 +144,93 @@ def _pivot_search(g: Graph, report: Callable[[list[int]], int], floor: int) -> N
                 break
             stack.pop()
         else:
-            return
+            return found
+
+
+def _omega(masks: list[int], incumbent: int) -> tuple[int, int]:
+    """Search 1 (module docstring) from a clique of ``incumbent`` vertices: the clique number and the nodes."""
+    best = incumbent
+    nodes = 0
+    stack = [(0, (1 << len(masks)) - 1)]  # (|C|, P)
+    while stack:
+        size, cand = stack.pop()
+        nodes += 1
+        # colour P greedily, stopping once |C| + classes beats the best size
+        spare = best - size  # the classes a node may have and still be cut
+        classes = 0
+        rest = cand
+        while rest and classes <= spare:
+            classes += 1
+            free = rest
+            while free:
+                bit = free & -free
+                rest ^= bit
+                free &= ~(masks[bit.bit_length() - 1] | bit)
+        if classes <= spare:
+            continue
+        if not cand:
+            best = size
+            continue
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            stack.append((size + 1, cand & masks[bit.bit_length() - 1]))
+    return best, nodes
+
+
+def _f(lo: int, hi: int, omega: int) -> int:
+    """Theorem 1's value for least degree ``lo`` and largest ``hi >= omega - 1``, clamped at 1."""
+    return max(1, _ceil_div(2 * lo - hi + 1, hi - omega + 2))
+
+
+def _best_clique(masks: list[int], omega: int, greedy: list[int]) -> tuple[int, list[int], int]:
+    """Search 2 (module docstring): the bound, its witness and the nodes."""
+    degs = [mask.bit_count() for mask in masks]
+    # a child whose value is below ``need`` is cut: until the first w-clique
+    # is found ``need`` is the greedy clique's value, so ties are searched;
+    # from then on it is one more than the best value found
+    need = 1
+    if len(greedy) == omega:
+        own = [degs[v] for v in greedy]
+        need = _f(min(own), max(own), omega)
+    best = 0
+    witness: list[int] = []
+    nodes = 0
+    clique: list[int] = []
+    root = (1 << len(masks)) - 1
+    for v, d in enumerate(degs):
+        if d < omega - 1:
+            root ^= 1 << v
+    # per open level: its candidates not yet tried, least and largest degree over C
+    stack = [(root, len(masks), omega - 1)]
+    while stack:
+        cand, lo, hi = stack[-1]
+        if not cand or len(clique) + cand.bit_count() < omega:
+            stack.pop()
+            if clique:
+                clique.pop()
+            continue
+        bit = cand & -cand
+        cand ^= bit
+        stack[-1] = (cand, lo, hi)
+        v = bit.bit_length() - 1
+        d = degs[v]
+        if d < lo:
+            lo = d
+        if d > hi:
+            hi = d
+        # _f inlined: this loop is most of the bound's time on small graphs
+        value = 2 * lo - hi + 1
+        value = -(-value // (hi - omega + 2)) if value > 1 else 1
+        if value < need:
+            continue
+        nodes += 1
+        if len(clique) + 1 == omega:
+            best, witness, need = value, clique + [v], value + 1
+            continue
+        clique.append(v)
+        stack.append((cand & masks[v], lo, hi))
+    return best, witness, nodes
 
 
 def enumerate_maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
@@ -97,15 +238,19 @@ def enumerate_maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ..
 
     Each clique is a sorted vertex tuple and appears exactly once.
     """
-    found: list[tuple[int, ...]] = []
+    return sorted(_pivot_search(_masks(g), min_size))
 
-    def report(clique: list[int]) -> int:
-        if len(clique) >= min_size:
-            found.append(tuple(sorted(clique)))
-        return min_size
 
-    _pivot_search(g, report, min_size)
-    return sorted(found)
+def _refuse_above(g: Graph, vertex_cap: int | None) -> None:
+    if vertex_cap is not None and g.n > vertex_cap:
+        raise ValueError(
+            f"graph has {g.n} vertices, above the clique-enumeration cap of {vertex_cap}"
+        )
+
+
+def _record(g: Graph, vertices: tuple[int, ...]) -> CliqueRecord:
+    degs = [len(g._adj[v]) for v in vertices]
+    return CliqueRecord(vertices=vertices, delta=min(degs), max_deg=max(degs))
 
 
 def enumerate_maximum_cliques(
@@ -113,43 +258,24 @@ def enumerate_maximum_cliques(
 ) -> list[CliqueRecord]:
     """Every clique of maximum size, each exactly once, in lexicographic order.
 
-    Branch-and-bound over the maximal-clique search: branches that cannot
-    reach the best size found so far are cut.  Worst case is exponential, so
-    inputs above ``vertex_cap`` vertices are refused (pass ``None`` to lift
-    the guard).
+    The clique number comes from search 1 (module docstring); the maximum
+    cliques are the maximal cliques that large.  Their number can be
+    exponential, so inputs above ``vertex_cap`` vertices are refused (pass
+    ``None`` to lift the guard).
     """
-    if vertex_cap is not None and g.n > vertex_cap:
-        raise ValueError(
-            f"graph has {g.n} vertices, above the clique-enumeration cap of {vertex_cap}"
-        )
-
-    best: list[tuple[int, ...]] = []
-
-    def report(clique: list[int]) -> int:
-        size = len(clique)
-        if not best or size > len(best[0]):
-            best[:] = [tuple(sorted(clique))]
-        elif size == len(best[0]):
-            best.append(tuple(sorted(clique)))
-        return len(best[0])
-
-    _pivot_search(g, report, 0)
-
-    records = []
-    for vertices in sorted(best):
-        degs = [g.degree(v) for v in vertices]
-        records.append(
-            CliqueRecord(vertices=vertices, delta=min(degs), max_deg=max(degs))
-        )
-    return records
+    _refuse_above(g, vertex_cap)
+    if g.n == 0:
+        return []
+    masks = _masks(g)
+    omega, _ = _omega(masks, len(_greedy_clique(g)))
+    return [_record(g, vertices) for vertices in sorted(_pivot_search(masks, omega))]
 
 
 def clique_bound(record: CliqueRecord, omega: int) -> int:
     """Label lower bound contributed by one maximum clique (clamped at 1)."""
-    denominator = record.max_deg - omega + 2
-    if denominator < 1:
+    if record.max_deg - omega + 2 < 1:
         raise ValueError("clique vertex of degree below omega - 1; input is not a clique of its host")
-    return max(1, _ceil_div(2 * record.delta - record.max_deg + 1, denominator))
+    return _f(record.delta, record.max_deg, omega)
 
 
 def lower_bound_thm1_witness(
@@ -158,19 +284,21 @@ def lower_bound_thm1_witness(
     """Theorem 1's bound on the d-lucky number of a connected graph, with its witness.
 
     The witness is the first maximum clique, in lexicographic order, whose
-    bound is the largest.  Disconnected input is a hard error (the bound's
-    hypothesis), not a wrong answer.  Enumeration of maximum cliques is
-    uncapped by default here because family instances routinely exceed the
-    general-purpose guard of :func:`enumerate_maximum_cliques`.
+    bound is the largest; both come from the two searches of the module
+    docstring.  Disconnected input is a hard error (the bound's hypothesis),
+    not a wrong answer.  Graphs above ``vertex_cap`` vertices are refused,
+    as by :func:`enumerate_maximum_cliques`; by default none is.
     """
     if g.n < 1:
         raise ValueError("lower bound requires a nonempty graph")
     if not is_connected(g):
         raise ValueError("lower bound is stated for connected graphs only")
-    records = enumerate_maximum_cliques(g, vertex_cap=vertex_cap)
-    omega = len(records[0].vertices)
-    best = max(records, key=lambda record: clique_bound(record, omega))
-    return clique_bound(best, omega), best
+    _refuse_above(g, vertex_cap)
+    masks = _masks(g)
+    greedy = _greedy_clique(g)
+    omega, _ = _omega(masks, len(greedy))
+    bound, witness, _ = _best_clique(masks, omega, greedy)
+    return bound, _record(g, tuple(witness))
 
 
 def lower_bound_thm1(g: Graph, vertex_cap: int | None = None) -> int:

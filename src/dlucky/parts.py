@@ -18,7 +18,8 @@ smaller k fails.
 :func:`grow_parts` grows a structure from a maximal clique.  The solver grows
 one from each large maximal clique (see :func:`solver._root_structures`);
 :func:`lower_bound_hall` grows one from a single greedily chosen maximal
-clique, so it never lists cliques.  On ``cocktail(n, t, r)`` that finds the t
+clique, so it never lists cliques, and keeps the better of the grown parts
+and the seed clique alone.  On ``cocktail(n, t, r)`` growing finds the t
 base parts, whose equal ranges pass exactly when ``t <= (k-1)*(n+r) + 1``:
 the claimed optimum ``ceil((t+n+r-1)/(n+r))``.
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from ._search import hall_fails
+from .bounds import _greedy_clique
 from .graph import Graph
 from .solver import _part_hulls
 
@@ -112,20 +114,6 @@ def part_ranges(g: Graph, parts: list[list[int]]) -> list[tuple[int, int, int, i
     return ranges
 
 
-def _greedy_clique(g: Graph) -> list[int]:
-    """A maximal clique: repeatedly add the candidate of largest degree (ties: smallest index)."""
-    adj = g._adj
-    rank = [len(adj[v]) * g.n - v for v in range(g.n)].__getitem__
-    best = max(range(g.n), key=rank)
-    clique = [best]
-    cand = set(adj[best])
-    while cand:
-        best = max(cand, key=rank)
-        clique.append(best)
-        cand.intersection_update(adj[best])
-    return clique
-
-
 def _overfull(los: list[int], his: list[int]) -> tuple[int, int, list[int]]:
     """An interval ``[a, b]`` and ``b - a + 2`` ranges inside it; the ranges fail Hall."""
     by_hi = sorted(range(len(los)), key=lambda i: (his[i], i))
@@ -148,24 +136,39 @@ def _overfull(los: list[int], his: list[int]) -> tuple[int, int, list[int]]:
     raise ValueError("the ranges pass Hall's condition")
 
 
-def lower_bound_hall_witness(g: Graph) -> tuple[int, HallCertificate]:
-    """The part bound on the d-lucky number (see the module docstring), with its certificate.
-
-    The parts grow by :func:`grow_parts` from one greedily chosen maximal
-    clique.  Graphs need not be connected.
-    """
-    if g.n < 1:
-        raise ValueError("lower bound requires a nonempty graph")
-    parts = grow_parts(g, _greedy_clique(g))
-    ranges = part_ranges(g, parts)
-    # every range has at least k values, so k = len(parts) passes
-    low, high = 1, len(parts)
+def _least_passing(ranges: list[tuple[int, int, int, int]]) -> int:
+    """The least k at which the part ranges pass Hall's condition."""
+    # every range has at least k values, so k = len(ranges) passes
+    low, high = 1, len(ranges)
     while low < high:
         mid = (low + high) // 2
         if hall_fails(*_part_hulls(ranges, mid)):
             low = mid + 1
         else:
             high = mid
+    return low
+
+
+def lower_bound_hall_witness(g: Graph) -> tuple[int, HallCertificate]:
+    """The part bound on the d-lucky number (see the module docstring), with its certificate.
+
+    The parts grow by :func:`grow_parts` from one greedily chosen maximal
+    clique.  Growing a part widens its range, so the seed clique alone, as
+    parts of one vertex, can give more (P_4 with edges (0,1), (0,3), (1,2):
+    2 against 1); the better of the two is taken, the grown parts on a tie.
+    Graphs need not be connected.
+    """
+    if g.n < 1:
+        raise ValueError("lower bound requires a nonempty graph")
+    seed = _greedy_clique(g)
+    parts = grow_parts(g, seed)
+    ranges = part_ranges(g, parts)
+    low = _least_passing(ranges)
+    alone = [[v] for v in seed]
+    alone_ranges = part_ranges(g, alone)
+    alone_low = _least_passing(alone_ranges)
+    if alone_low > low:
+        parts, ranges, low = alone, alone_ranges, alone_low
     frozen = tuple(tuple(p) for p in parts)
     if low == 1:
         return 1, HallCertificate(frozen, None, ())

@@ -1,7 +1,9 @@
+import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlucky import (
     Graph,
@@ -15,8 +17,18 @@ from dlucky import (
     exact_eta,
     lower_bound_cor2,
     lower_bound_thm1,
+    lower_bound_thm1_witness,
 )
-from dlucky.parts import HallCertificate, check_hall_bound, lower_bound_hall, lower_bound_hall_witness
+from dlucky._search import hall_fails
+from dlucky.bounds import _best_clique, _greedy_clique, _masks, _omega
+from dlucky.parts import (
+    HallCertificate,
+    check_hall_bound,
+    lower_bound_hall,
+    lower_bound_hall_witness,
+    part_ranges,
+)
+from dlucky.solver import _part_hulls
 from conftest import (
     connected_graphs,
     oracle_maximal_cliques,
@@ -88,6 +100,91 @@ def test_vertex_cap_refusal_names_the_cap():
         enumerate_maximum_cliques(g)
     assert len(enumerate_maximum_cliques(g, vertex_cap=70)) == 70
     assert len(enumerate_maximum_cliques(g, vertex_cap=None)) == 70
+
+
+def test_search_node_counts_are_pinned():
+    # the answers stay right under a weaker cut, so pin the nodes (omega,
+    # nodes of the omega search, bound, nodes of the witness search); this
+    # runs before the cocktail and corona tests, which a weaker colour cut
+    # makes exponential
+    k8_minus = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) != (6, 7)])
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                     + [(i + 5, (i + 2) % 5 + 5) for i in range(5)])
+    dense = random_graph(random.Random(10), 16, 0.7)
+    for g, pinned in [(k8_minus, (7, 1, 3, 22)), (petersen, (2, 11, 2, 2)), (dense, (8, 28, 2, 25))]:
+        masks, greedy = _masks(g), _greedy_clique(g)
+        omega, omega_nodes = _omega(masks, len(greedy))
+        bound, _, nodes = _best_clique(masks, omega, greedy)
+        assert (omega, omega_nodes, bound, nodes) == pinned
+
+
+def test_thm1_on_cocktails_without_listing_their_cliques():
+    for n, t, r in [(2, 16, 1), (5, 100, 5)]:  # 65,536 and 5^100 maximum cliques
+        g = build_cocktail(n, t, r).graph
+        masks, greedy = _masks(g), _greedy_clique(g)
+        # the root's colour classes are the t parts, so the root is cut; the
+        # first clique found is a best one, and every other is cut
+        assert _omega(masks, len(greedy)) == (t, 1)
+        assert _best_clique(masks, t, greedy)[2] == t
+        start = time.perf_counter()
+        assert lower_bound_thm1(g) == 2
+        assert time.perf_counter() - start < 1.0
+
+
+def _thm1_by_listing(g):
+    """(omega, bound, witness): Theorem 1 over the oracle's list of maximum
+    cliques, the first best one in lexicographic order."""
+    cliques = oracle_maximum_cliques(g)
+    omega = len(cliques[0])
+    best = None
+    for q in cliques:
+        lo, hi = min(map(g.degree, q)), max(map(g.degree, q))
+        value = max(1, -(-(2 * lo - hi + 1) // (hi - omega + 2)))
+        if best is None or value > best[0]:
+            best = (value, q)
+    return (omega, *best)
+
+
+def _check_thm1_searches(g):
+    omega, bound, witness = _thm1_by_listing(g)
+    got, record = lower_bound_thm1_witness(g)
+    assert (got, record.vertices) == (bound, witness)
+    degs = [g.degree(v) for v in witness]
+    assert (record.delta, record.max_deg) == (min(degs), max(degs))
+    assert _omega(_masks(g), len(_greedy_clique(g)))[0] == omega
+
+
+def test_thm1_searches_match_the_listing_on_small_connected_graphs():
+    for g in connected_graphs(6):
+        _check_thm1_searches(g)
+
+
+@st.composite
+def connected_graph(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    extra = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tree | {pair for pair, keep in zip(pairs, extra) if keep})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(connected_graph())
+def test_thm1_searches_match_the_listing_on_drawn_graphs(g):
+    _check_thm1_searches(g)
+
+
+def test_greedy_clique_picks_the_candidate_of_largest_degree():
+    rng = random.Random(337)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 14), rng.random())
+        cand = set(range(g.n))
+        clique = []
+        while cand:
+            v = max(cand, key=lambda u: (g.degree(u), -u))
+            clique.append(v)
+            cand &= set(g.neighbors(v))
+        assert _greedy_clique(g) == clique
 
 
 def test_lower_bound_complete_graphs():
@@ -184,6 +281,20 @@ def test_hall_bound_never_exceeds_eta_on_small_connected_graphs():
         assert 1 <= bound <= eta
         raised += bound > 1
     assert raised > 0
+
+
+def test_part_bound_is_never_below_its_seed_clique():
+    # the seed clique alone refutes k = 1 on this P_4; the parts grown from
+    # it, {0, 2} and {1}, do not
+    p4 = Graph(4, [(0, 1), (0, 3), (1, 2)])
+    bound, cert = lower_bound_hall_witness(p4)
+    assert bound == 2 and check_hall_bound(p4, bound, cert)
+    for g in connected_graphs(6):
+        alone = part_ranges(g, [[v] for v in _greedy_clique(g)])
+        seed_bound = next(k for k in itertools.count(1) if not hall_fails(*_part_hulls(alone, k)))
+        bound, cert = lower_bound_hall_witness(g)
+        assert bound >= seed_bound
+        assert check_hall_bound(g, bound, cert)
 
 
 COCKTAILS = [(2, 6, 1), (3, 10, 1), (2, 14, 1), (4, 12, 1), (2, 30, 3), (5, 100, 5)]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dlucky import cli, graph_from_json, labeling_from_json
+import dlucky
+from dlucky import build_cocktail, cli, graph_from_json, labeling_from_json
 from dlucky.parts import HallCertificate, check_hall_bound
 from dlucky.cli import main
 
@@ -176,6 +181,28 @@ def test_bound_reports_the_part_bound_with_its_certificate(tmp_path, capsys):
         "part bound: 6 over 14 part(s); with 5 labels, 14 part ranges lie in [18, 30], "
         "which has 13 values"
     )
+
+
+def test_bound_on_cocktail_5_100_5_in_a_child_process(tmp_path):
+    # 3,000 vertices and 5^100 maximum cliques: both bounds come from searches
+    # that never list the cliques
+    src = str(Path(dlucky.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def dlucky_cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "dlucky.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    gen = dlucky_cli("gen", "cocktail", "--n", "5", "--t", "100", "--r", "5", "-o", "g.json")
+    assert gen.returncode == 0, gen.stderr
+    done = dlucky_cli("bound", "g.json", "--json")
+    assert done.returncode == 0, done.stderr
+    data = json.loads(done.stdout)
+    assert data["bound"] == 2
+    assert data["hall"]["bound"] == build_cocktail(5, 100, 5).claimed_eta
 
 
 def test_bound_rejects_disconnected(tmp_path, capsys):
