@@ -1,4 +1,9 @@
-"""Backtracking kernel for the labeling search, and the clique Hall test it shares."""
+"""Backtracking kernel for the labeling search, and the t-range model it shares.
+
+:func:`part_hulls` and :func:`hall_fails` are the counting argument of
+Theorem 1 and of the cocktail-party optimum: the solver's root checks, the
+kernel's clique test and :mod:`dlucky.parts` all take their ranges from here.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +28,38 @@ def hall_fails(los, his) -> bool:
     return False
 
 
+def part_hulls(parts, k) -> tuple[list[int], list[int]]:
+    """The low and high ends of each part's t-range under labels 1..k.
+
+    Let parts P_1..P_t be independent sets, each completely joined to every
+    other part, and let M be their union.  For v in P_i the d-lucky sum splits
+    as ``d(v) = sum of l over M + t(v)`` with
+    ``t(v) = deg(v) - sum of l over P_i + sum of l over N(v) \\ M``.  The
+    first term is the same for every vertex of M, and vertices in different
+    parts are adjacent, so each part needs a t-value that no other part uses.
+    With labels in 1..k and ``s(v) = |N(v) \\ M|``, ``t(v)`` lies in
+    ``[deg(v) - k*|P_i| + s(v), deg(v) - |P_i| + k*s(v)]``; when the hulls of
+    these ranges over each part fail :func:`hall_fails`, no labeling into
+    1..k exists.  The hulls only widen as k grows.
+
+    A part P is ``(lo, deg, s, |P|)``: ``lo`` is the least ``deg(v) + s(v)``
+    over P, and ``deg``, ``s`` are those of its vertex of largest s(v).
+    Inside M a vertex of P is adjacent to exactly M \\ P, so ``deg(v) - s(v)``
+    is the same on all of P, and the hull is ``[lo - k*|P|, deg + k*s - |P|]``.
+    A clique is the parts of one vertex each: see :func:`clique_ranges`.
+    """
+    return [lo - k * p for lo, _, _, p in parts], [deg + k * s - p for _, deg, s, p in parts]
+
+
+def clique_ranges(adj, q) -> list[tuple[int, int, int, int]]:
+    """The parts of the clique ``q``, one vertex each, in the form of :func:`part_hulls`.
+
+    A vertex v of q has ``s(v) = deg(v) - |q| + 1``: Theorem 1's pigeonhole.
+    """
+    inside = len(q) - 1  # deg(v) - s(v) on q
+    return [(2 * d - inside, d, d - inside, 1) for v in q for d in [len(adj[v])]]
+
+
 def _shift(lo, hi, own, outside, a, b):
     # placing label l on a clique vertex moves its own slot's (lo, hi) by
     # (+(k-l), -(l-1)); placing it on a vertex outside the clique moves the
@@ -42,10 +79,11 @@ def search(k, steps, slots):
     placed at depth ``d``, the edges ``(u, w)`` whose two endpoint sums are
     final once it is placed, ``hall``, which is None or ``(own, outside,
     cliques)``, and ``live``, which is None or an ``itemgetter`` of sums.
-    ``slots[i]`` is ``(deg(v), |N(v) \\ Q|)`` for one vertex v of one clique
-    Q; slot i keeps the range ``[lo[i], hi[i]]`` of
-    ``t(v) = deg(v) - l(v) + sum of l(w) over w in N(v) \\ Q`` under the
-    labels placed so far.  Placing v moves the slots in ``own`` (v's own) and
+    ``slots[i]`` is the part of one vertex v of one clique Q, as
+    :func:`clique_ranges` gives it; slot i keeps the range
+    ``[lo[i], hi[i]]`` of ``t(v) = deg(v) - l(v) + sum of l(w) over w in
+    N(v) \\ Q`` under the labels placed so far, from :func:`part_hulls`
+    with none placed.  Placing v moves the slots in ``own`` (v's own) and
     ``outside`` (v is outside their clique, next to their vertex); after a
     placement passes its edge checks, each clique in ``cliques`` (an
     ``itemgetter`` of its slots) must pass :func:`hall_fails`, or the
@@ -69,8 +107,7 @@ def search(k, steps, slots):
     sums = [0] * n  # d-lucky sums: degree plus the labels placed on neighbors
     for v, nbrs, _, _, _ in steps:
         sums[v] = len(nbrs)
-    lo = [deg - k + s for deg, s in slots]
-    hi = [deg - 1 + k * s for deg, s in slots]
+    lo, hi = part_hulls(slots, k)
     labels = [0] * n
     refuted = defaultdict(set)  # depth -> keys whose subtree holds no labeling
     keys = [None] * n  # each memoized depth's key on its latest entry

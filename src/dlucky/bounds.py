@@ -241,13 +241,6 @@ def enumerate_maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ..
     return sorted(_pivot_search(_masks(g), min_size))
 
 
-def _refuse_above(g: Graph, vertex_cap: int | None) -> None:
-    if vertex_cap is not None and g.n > vertex_cap:
-        raise ValueError(
-            f"graph has {g.n} vertices, above the clique-enumeration cap of {vertex_cap}"
-        )
-
-
 def _record(g: Graph, vertices: tuple[int, ...]) -> CliqueRecord:
     degs = [len(g._adj[v]) for v in vertices]
     return CliqueRecord(vertices=vertices, delta=min(degs), max_deg=max(degs))
@@ -263,7 +256,10 @@ def enumerate_maximum_cliques(
     exponential, so inputs above ``vertex_cap`` vertices are refused (pass
     ``None`` to lift the guard).
     """
-    _refuse_above(g, vertex_cap)
+    if vertex_cap is not None and g.n > vertex_cap:
+        raise ValueError(
+            f"graph has {g.n} vertices, above the clique-enumeration cap of {vertex_cap}"
+        )
     if g.n == 0:
         return []
     masks = _masks(g)
@@ -278,22 +274,18 @@ def clique_bound(record: CliqueRecord, omega: int) -> int:
     return _f(record.delta, record.max_deg, omega)
 
 
-def lower_bound_thm1_witness(
-    g: Graph, vertex_cap: int | None = None
-) -> tuple[int, CliqueRecord]:
+def lower_bound_thm1_witness(g: Graph) -> tuple[int, CliqueRecord]:
     """Theorem 1's bound on the d-lucky number of a connected graph, with its witness.
 
     The witness is the first maximum clique, in lexicographic order, whose
     bound is the largest; both come from the two searches of the module
     docstring.  Disconnected input is a hard error (the bound's hypothesis),
-    not a wrong answer.  Graphs above ``vertex_cap`` vertices are refused,
-    as by :func:`enumerate_maximum_cliques`; by default none is.
+    not a wrong answer.
     """
     if g.n < 1:
         raise ValueError("lower bound requires a nonempty graph")
     if not is_connected(g):
         raise ValueError("lower bound is stated for connected graphs only")
-    _refuse_above(g, vertex_cap)
     masks = _masks(g)
     greedy = _greedy_clique(g)
     omega, _ = _omega(masks, len(greedy))
@@ -301,9 +293,9 @@ def lower_bound_thm1_witness(
     return bound, _record(g, tuple(witness))
 
 
-def lower_bound_thm1(g: Graph, vertex_cap: int | None = None) -> int:
+def lower_bound_thm1(g: Graph) -> int:
     """Best clique-degree lower bound; see :func:`lower_bound_thm1_witness`."""
-    return lower_bound_thm1_witness(g, vertex_cap)[0]
+    return lower_bound_thm1_witness(g)[0]
 
 
 def lower_bound_cor2(r: int, omega: int) -> int:

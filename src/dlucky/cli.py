@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     graph = graph_from_json(_read(args.graph))
-    bound, best = lower_bound_thm1_witness(graph, vertex_cap=args.vertex_cap)
+    bound, best = lower_bound_thm1_witness(graph)
     omega = len(best.vertices)
     from .parts import lower_bound_hall_witness  # compiled only for this command
 
@@ -239,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="clique and part lower bounds with their witnesses")
     p.add_argument("graph")
-    p.add_argument("--vertex-cap", type=int, default=None,
-                   help="refuse clique enumeration above this many vertices")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)
 

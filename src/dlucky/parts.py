@@ -1,19 +1,12 @@
 """Complete multipartite part structures, and the part bound with its certificate.
 
 The paper gets the optimum of the cocktail-party graphs by counting over the
-parts of their multipartite base.  Let parts P_1..P_t be independent sets,
-each completely joined to every other part, and let M be their union.  For v
-in P_i, ``d(v) = sum of l over M + t(v)`` with
-``t(v) = deg(v) - sum of l over P_i + sum of l over N(v) \\ M``.  The first
-term is the same for every vertex of M, and vertices in different parts are
-adjacent, so the t-values of two parts never meet: each part needs a t-value
-that no other part uses.  With labels in 1..k and ``s(v) = |N(v) \\ M|``,
-``t(v)`` lies in ``[deg(v) - k*|P_i| + s(v), deg(v) - |P_i| + k*s(v)]``; the
-hull of these ranges over P_i is the part's range.  When the part ranges fail
-Hall's condition (:func:`_search.hall_fails`), no labeling into 1..k exists.
-Parts of one vertex give the solver's clique check.  The ranges only widen as
-k grows, so the part bound is the least k whose ranges pass, and every
-smaller k fails.
+parts of their multipartite base: each part needs a t-value that no other
+part uses, so when the part ranges fail Hall's condition no labeling into
+1..k exists (:func:`_search.part_hulls` gives the argument; parts of one
+vertex give the solver's clique check).  The ranges only widen as k grows,
+so the part bound is the least k whose ranges pass, and every smaller k
+fails.
 
 :func:`grow_parts` grows a structure from a maximal clique.  The solver grows
 one from each large maximal clique (see :func:`solver._root_structures`);
@@ -37,10 +30,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from ._search import hall_fails
+from ._search import clique_ranges, hall_fails, part_hulls
 from .bounds import _greedy_clique
 from .graph import Graph
-from .solver import _part_hulls
 
 
 class HallCertificate(NamedTuple):
@@ -97,7 +89,7 @@ def grow_parts(g: Graph, clique: Sequence[int]) -> list[list[int]]:
 
 
 def part_ranges(g: Graph, parts: list[list[int]]) -> list[tuple[int, int, int, int]]:
-    """The parts grown by :func:`grow_parts` in the form of :func:`solver._part_hulls`.
+    """The parts grown by :func:`grow_parts` in the form of :func:`_search.part_hulls`.
 
     A vertex v of part P is adjacent to exactly M \\ P inside M, so
     ``s(v) = deg(v) - |M| + |P|``; the least and the largest degree of P
@@ -142,7 +134,7 @@ def _least_passing(ranges: list[tuple[int, int, int, int]]) -> int:
     low, high = 1, len(ranges)
     while low < high:
         mid = (low + high) // 2
-        if hall_fails(*_part_hulls(ranges, mid)):
+        if hall_fails(*part_hulls(ranges, mid)):
             low = mid + 1
         else:
             high = mid
@@ -165,14 +157,14 @@ def lower_bound_hall_witness(g: Graph) -> tuple[int, HallCertificate]:
     ranges = part_ranges(g, parts)
     low = _least_passing(ranges)
     alone = [[v] for v in seed]
-    alone_ranges = part_ranges(g, alone)
+    alone_ranges = clique_ranges(g._adj, seed)
     alone_low = _least_passing(alone_ranges)
     if alone_low > low:
         parts, ranges, low = alone, alone_ranges, alone_low
     frozen = tuple(tuple(p) for p in parts)
     if low == 1:
         return 1, HallCertificate(frozen, None, ())
-    a, b, over = _overfull(*_part_hulls(ranges, low - 1))
+    a, b, over = _overfull(*part_hulls(ranges, low - 1))
     return low, HallCertificate(frozen, (a, b), tuple(over))
 
 

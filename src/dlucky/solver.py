@@ -1,48 +1,44 @@
 """Exact d-lucky numbers on small graphs by exhaustive backtracking.
 
 Before a label budget k reaches the search, a clique check (Theorem 1's
-pigeonhole argument, see :func:`_clique_refutes`) and a part check (below)
-try to refute it outright.  A budget that survives is searched: labels are
-assigned in breadth-first vertex order (from vertex 0, ties by index) and
-checking an edge is deferred until every neighbor of both endpoints is
-labeled; only then are the two endpoint sums final, so earlier checks would
-prune wrongly.  Budgets are tried k = 1, 2, ... so the first success is the
-exact minimum, and each smaller budget is certified infeasible either by the
-root checks or by exhaustion.
+pigeonhole argument, see :func:`_search.clique_ranges`) and a part check
+(below) try to refute it outright.  A budget that survives is searched:
+labels are assigned in breadth-first vertex order (from vertex 0, ties by
+index) and checking an edge is deferred until every neighbor of both
+endpoints is labeled; only then are the two endpoint sums final, so earlier
+checks would prune wrongly.  Budgets are tried k = 1, 2, ... so the first
+success is the exact minimum, and each smaller budget is certified
+infeasible either by the root checks or by exhaustion.
 
-The part check counts over the parts of a complete multipartite subgraph,
-as the paper does for the cocktail-party graphs.  Let parts P_1..P_t be
-independent sets, each completely joined to every other part, and let M be
-their union.  For v in P_i, ``d(v) = sum of l over M + t(v)`` with
-``t(v) = deg(v) - sum of l over P_i + sum of l over N(v) \\ M``.  Vertices in
-different parts are adjacent, so each part needs a t-value that no other part
-uses.  With ``s(v) = |N(v) \\ M|``, ``t(v)`` lies in
-``[deg(v) - k*|P_i| + s(v), deg(v) - |P_i| + k*s(v)]``; when the hulls of
-these ranges over each part fail :func:`_search.hall_fails`, no labeling
-into 1..k exists.  Parts of one vertex give the clique check, so both
-checks take their ranges from one routine, :func:`_part_hulls`.  The
-structures come from :func:`_root_structures`: every clique as parts of one
-vertex, and the structures :func:`parts.grow_parts` grows from the large
-maximal cliques.  Every clique range and part hull only
-widens as k grows, so once a budget passes both root checks every larger
-one does: :func:`exact_eta` tests nothing more from there, and the budgets
-the root checks refute are exactly those below the least one they pass.
-Only budgets are refuted, never a subtree, so the search, its visit order
-and the witness do not change; ``nodes_explored`` can only fall.  On
-``cocktail(2,6,1)`` the six base parts of two vertices refute k = 2, which
-the clique check passes: 405 nodes fall to 39.
+The part check counts over the parts of a complete multipartite subgraph, as
+the paper does for the cocktail-party graphs: each part needs a t-value that
+no other part uses, so when the parts' t-ranges fail Hall's condition no
+labeling into 1..k exists (:func:`_search.part_hulls` gives the argument).
+Parts of one vertex give the clique check, so both checks and the kernel's
+clique test take their ranges from that one routine.  The structures come
+from :func:`_root_structures`: every clique as parts of one vertex, and the
+structures :func:`parts.grow_parts` grows from the large maximal cliques.
+Every clique range and part hull only widens as k grows, so once a budget
+passes both root checks every larger one does: :func:`exact_eta` tests
+nothing more from there, and the budgets the root checks refute are exactly
+those below the least one they pass.  Only budgets are refuted, never a
+subtree, so the search, its visit order and the witness do not change;
+``nodes_explored`` can only fall.  On ``cocktail(2,6,1)`` the six base parts
+of two vertices refute k = 2, which the clique check passes: 405 nodes fall
+to 39.
 
 Inside the search the clique argument runs after every placement that passes
 its edge checks.  For a clique Q and v in Q, ``t(v) = deg(v) - l(v) + sum of
 l(w) over w in N(v) \\ Q`` must be pairwise distinct on Q in every d-lucky
-labeling (see :func:`_clique_refutes`).  Under a partial labeling, each label
-not yet placed lies in 1..k, so ``t(v)`` lies in ``[lo, hi]``: ``lo`` counts
-each unplaced label of N(v) \\ Q as 1 and an unplaced l(v) as k, ``hi`` the
-other way round.  Every completion of the partial labeling puts each ``t(v)``
-inside its range, so when Q's ranges fail Hall's condition no completion is
-d-lucky: the placement's subtree holds no labeling, and the placement is
-undone (it still counts as one node).  The rule removes only subtrees
-without a labeling, so each budget keeps its outcome and its first labeling.
+labeling (see :func:`_search.part_hulls`).  Under a partial labeling, each
+label not yet placed lies in 1..k, so ``t(v)`` lies in ``[lo, hi]``: ``lo``
+counts each unplaced label of N(v) \\ Q as 1 and an unplaced l(v) as k,
+``hi`` the other way round.  Every completion of the partial labeling puts
+each ``t(v)`` inside its range, so when Q's ranges fail Hall's condition no
+completion is d-lucky: the placement's subtree holds no labeling, and the
+placement is undone (it still counts as one node).  The rule removes only
+subtrees without a labeling, so each budget keeps its outcome and its first
+labeling.
 
 The search also remembers refuted states.  Take a fresh entry to depth d,
 the labels of the first d vertices placed.  The checks still to come are
@@ -165,15 +161,17 @@ class SolveResult:
         return self.eta is None
 
 
-def _prepare(g: Graph, cliques: list[tuple[int, ...]]) -> tuple[tuple, tuple]:
+def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tuple[tuple, tuple]:
     """The kernel's steps and t-slots; see :func:`_search.search`.
 
     Per BFS position: the vertex, its neighbors, its edge checks, its Hall
     tables and its memo key (see :func:`_memo_keys`).  Edge {u, v} is checked
     at the position of the last vertex of N(u) | N(v), where both endpoint
     sums become final.  Every vertex of every clique in ``cliques`` with at
-    least ``HALL_MIN_SIZE`` vertices gets a t-slot; a placement is
-    Hall-tested on the cliques whose slots it moves.
+    least ``HALL_MIN_SIZE`` vertices gets a t-slot, its part from
+    ``structures``, which :func:`_root_structures` built from ``cliques``
+    and which starts with their ranges, in order; a placement is Hall-tested
+    on the cliques whose slots it moves.
     """
     adj = g._adj
     order = bfs_order(g)
@@ -185,17 +183,17 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]]) -> tuple[tuple, tuple]:
     for u, v in g.edges:
         ready[last[u] if last[u] > last[v] else last[v]].append((u, v))
 
-    slots: list[tuple[int, int]] = []
+    slots: list[tuple[int, int, int, int]] = []
     # vertex -> (its own slots, slots it neighbors from outside, cliques to test)
     hall: defaultdict[int, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
-    for q in cliques:
+    for q, ranges in zip(cliques, structures):
         if len(q) < HALL_MIN_SIZE:
             continue
         first = len(slots)
+        slots.extend(ranges)
         inside = set(q)
         moved = set(inside)
         for i, v in enumerate(q, first):
-            slots.append((len(adj[v]), len(adj[v]) - len(q) + 1))
             hall[v][0].append(i)
             for w in adj[v]:
                 if w not in inside:
@@ -236,27 +234,21 @@ def _memo_keys(adj, order, ready) -> list:
 
 
 def _root_structures(g: Graph, cliques: list[tuple[int, ...]]) -> list[list[tuple[int, int, int, int]]]:
-    """The parts (see :func:`_part_hulls`) of every structure the root check tests.
+    """The parts (see :func:`_search.part_hulls`) of every structure the root check tests.
 
-    First each clique of ``cliques``, in order, as parts of one vertex; a
-    vertex v of a clique Q has ``s(v) = |N(v) \\ Q| = deg(v) - |Q| + 1``.
-    Then the structures grown by :func:`parts.grow_parts` from the maximal
-    cliques of more than ``HALL_MIN_SIZE`` vertices (see the module
-    docstring); one is kept when some part has 2 or more vertices.  A clique inside the vertices of a kept
+    First each clique of ``cliques``, in order, as parts of one vertex
+    (:func:`_search.clique_ranges`).  Then the structures grown by
+    :func:`parts.grow_parts` from the maximal cliques of more than
+    ``HALL_MIN_SIZE`` vertices (see the module docstring); one is kept when
+    some part has 2 or more vertices.  A clique inside the vertices of a kept
     structure is not grown (all 64 cliques of ``cocktail(2,6,1)`` lie in the
     first one), so every kept structure holds a seed clique that no earlier
     one holds, and none is kept twice.  With fewer than two such cliques
     nothing is grown: a vertex that could join a lone clique Q would lie in
     a second one, Q minus the member it misses plus itself.
     """
-    adj = g._adj
-    structures = []
-    big = []
-    for q in cliques:
-        inside = len(q) - 1  # deg(v) - s(v) on Q
-        structures.append([(2 * d - inside, d, d - inside, 1) for v in q for d in [len(adj[v])]])
-        if len(q) > HALL_MIN_SIZE:
-            big.append(q)
+    structures = [_search.clique_ranges(g._adj, q) for q in cliques]
+    big = [q for q in cliques if len(q) > HALL_MIN_SIZE]
     if len(big) < 2:
         return structures
     from .parts import grow_parts, part_ranges  # not at module level: see the parts docstring
@@ -272,36 +264,15 @@ def _root_structures(g: Graph, cliques: list[tuple[int, ...]]) -> list[list[tupl
     return structures
 
 
-def _part_hulls(parts: list[tuple[int, int, int, int]], k: int) -> tuple[list[int], list[int]]:
-    """The low and high ends of each part's t-range under labels 1..k.
-
-    A part P is ``(lo, deg, s, |P|)``: ``lo`` is the least ``deg(v) + s(v)``
-    over P, and ``deg``, ``s`` are those of its vertex of largest s(v).
-    Inside M a vertex of P is adjacent to exactly M \\ P, so ``deg(v) - s(v)``
-    is the same on all of P, and the hull of the ranges
-    ``[deg(v) - k*|P| + s(v), deg(v) - |P| + k*s(v)]`` is
-    ``[lo - k*|P|, deg + k*s - |P|]``.  For a clique member, a part of one
-    vertex, that is the range of :func:`_clique_refutes`.
-    """
-    return [lo - k * p for lo, _, _, p in parts], [deg + k * s - p for _, deg, s, p in parts]
-
-
 def _clique_refutes(structures: list, k: int) -> bool:
     """True when some clique or part structure proves that no d-lucky labeling into 1..k exists.
 
-    For a clique Q, a vertex v of Q and ``S(v) = N(v) \\ Q``, the d-lucky sum
-    splits as ``d(v) = t(v) + sum of l(w) over w in Q`` with
-    ``t(v) = deg(v) - l(v) + sum of l(w) over w in S(v)``.  The second term is
-    the same for every vertex of Q, and Q's vertices are pairwise adjacent,
-    so their ``t`` values must be pairwise distinct.  With labels in 1..k,
-    ``t(v)`` lies in ``[deg(v) - k + |S(v)|, deg(v) - 1 + k*|S(v)|]``.  If
-    these ranges fail Hall's condition (:func:`_search.hall_fails`), no
-    labeling into 1..k exists.  ``structures`` comes from
-    :func:`_root_structures`: the cliques as parts of one vertex, and the
-    grown structures, whose argument the module docstring gives.
+    A structure from :func:`_root_structures` refutes k when its part ranges
+    (:func:`_search.part_hulls`, which gives the argument) fail
+    :func:`_search.hall_fails`.
     """
     for parts in structures:
-        if _search.hall_fails(*_part_hulls(parts, k)):
+        if _search.hall_fails(*_search.part_hulls(parts, k)):
             return True
     return False
 
@@ -322,9 +293,10 @@ def exists_labeling(g: Graph, k: int) -> Labeling | None:
     """A verifying labeling into 1..k, or None after certified exhaustion."""
     _check_search_args(g, k)
     cliques = enumerate_maximal_cliques(g, min_size=3)
-    if _clique_refutes(_root_structures(g, cliques), k):
+    structures = _root_structures(g, cliques)
+    if _clique_refutes(structures, k):
         return None
-    witness, _ = _run(k, _prepare(g, cliques))
+    witness, _ = _run(k, _prepare(g, cliques, structures))
     return witness
 
 
@@ -343,7 +315,7 @@ def exact_eta(g: Graph, max_k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Sol
         )
     cliques = enumerate_maximal_cliques(g, min_size=3)
     structures = _root_structures(g, cliques)
-    prepared = _prepare(g, cliques)
+    prepared = _prepare(g, cliques, structures)
     total_nodes = 0
     for k in range(1, max_k + 1):
         if _clique_refutes(structures, k):

@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dlucky
 from dlucky import (
     Graph,
     build_cocktail,
@@ -19,7 +24,7 @@ from dlucky import (
     lower_bound_thm1,
     lower_bound_thm1_witness,
 )
-from dlucky._search import hall_fails
+from dlucky._search import clique_ranges, hall_fails, part_hulls
 from dlucky.bounds import _best_clique, _greedy_clique, _masks, _omega
 from dlucky.parts import (
     HallCertificate,
@@ -28,7 +33,6 @@ from dlucky.parts import (
     lower_bound_hall_witness,
     part_ranges,
 )
-from dlucky.solver import _part_hulls
 from conftest import (
     connected_graphs,
     oracle_maximal_cliques,
@@ -291,10 +295,31 @@ def test_part_bound_is_never_below_its_seed_clique():
     assert bound == 2 and check_hall_bound(p4, bound, cert)
     for g in connected_graphs(6):
         alone = part_ranges(g, [[v] for v in _greedy_clique(g)])
-        seed_bound = next(k for k in itertools.count(1) if not hall_fails(*_part_hulls(alone, k)))
+        seed_bound = next(k for k in itertools.count(1) if not hall_fails(*part_hulls(alone, k)))
         bound, cert = lower_bound_hall_witness(g)
         assert bound >= seed_bound
         assert check_hall_bound(g, bound, cert)
+
+
+
+def test_clique_ranges_match_the_parts_of_one_vertex():
+    # the clique fast path gives what the general part builder gives
+    for g in connected_graphs(6):
+        for q in enumerate_maximal_cliques(g):
+            assert clique_ranges(g._adj, q) == part_ranges(g, [[v] for v in q])
+
+
+def test_importing_the_package_leaves_parts_unloaded():
+    # a fresh import compiles every module it loads; parts loads on first use
+    src = str(Path(dlucky.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import sys, dlucky; print('dlucky.parts' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 COCKTAILS = [(2, 6, 1), (3, 10, 1), (2, 14, 1), (4, 12, 1), (2, 30, 3), (5, 100, 5)]
