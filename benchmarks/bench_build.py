@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Building, sealing and serializing the family graphs, against the set-and-sort constructor.
+
+Run from the root of a source checkout::
+
+    PYTHONPATH=src python3 benchmarks/bench_build.py
+
+and it writes ``benchmarks/BENCH_9.json``.  The graphs are the six of the
+benchmark's families-large workload.  For each it records the vertex and
+edge counts and the wall seconds, each the least of ``REPEATS`` runs, of:
+the family builder (build and seal), :class:`dlucky.Graph` on the final
+edge list (sorted already, the sort's best case; the builders hand it a few
+sorted runs), the constructor's former definition (a set of normalized
+pairs, then ``sorted``) on the same list, :func:`dlucky.verify` of the family's
+labeling, and the graph's JSON round trip.  It checks that the constructor
+gives the edges and adjacency of the former definition, and that the round
+trip gives the graph back.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import time
+from pathlib import Path
+
+import dlucky
+
+OUT = Path(__file__).resolve().parent / "BENCH_9.json"
+REPEATS = 3
+GRAPHS = [
+    ("web", (5, 200)), ("web", (20, 100)), ("corona", (500, 3)),
+    ("cocktail", (5, 100, 5)), ("cocktail", (2, 16, 1)), ("corona", (1000, 3)),
+]
+
+
+def least_seconds(fn, *args):
+    """The result of ``fn(*args)`` and the least wall seconds of ``REPEATS`` calls."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def set_and_sort(n, edges):
+    """The constructor's former definition: ``(edges, adjacency)`` from a set of pairs."""
+    normalized = set()
+    for edge in edges:
+        u, v = edge
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        normalized.add((u, v) if u < v else (v, u))
+    edges = tuple(sorted(normalized))
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return edges, tuple(map(tuple, adj))
+
+
+def round_trip(g):
+    return dlucky.graph_from_json(dlucky.graph_to_json(g))
+
+
+def measure(family: str, params: tuple) -> dict:
+    what = f"{family}{params}".replace(" ", "")
+    fam, build_s = least_seconds(getattr(dlucky, f"build_{family}"), *params)
+    g = fam.graph
+    edges = list(g.edges)
+    built, graph_s = least_seconds(dlucky.Graph, g.n, edges)
+    reference, reference_s = least_seconds(set_and_sort, g.n, edges)
+    if (built.edges, built._adj) != reference or (g.edges, g._adj) != reference:
+        raise AssertionError(f"{what}: the constructor and the set-and-sort definition disagree")
+    report, verify_s = least_seconds(dlucky.verify, g, fam.labeling)
+    if report.conflicts:
+        raise AssertionError(f"{what}: the family labeling has conflicts")
+    back, json_s = least_seconds(round_trip, g)
+    if (back.n, back.edges, back.tags) != (g.n, g.edges, g.tags):
+        raise AssertionError(f"{what}: the JSON round trip changed the graph")
+    return {
+        "graph": what,
+        "vertices": g.n,
+        "edges": g.edge_count,
+        "build_s": round(build_s, 6),
+        "graph_s": round(graph_s, 6),
+        "set_and_sort_s": round(reference_s, 6),
+        "verify_s": round(verify_s, 6),
+        "json_round_trip_s": round(json_s, 6),
+    }
+
+
+def main() -> int:
+    rows = []
+    for family, params in GRAPHS:
+        row = measure(family, params)
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    result = {
+        "what": "family build and seal, Graph on the final edge list against the former "
+                "set-and-sort definition, verify, and the graph JSON round trip",
+        "command": "PYTHONPATH=src python3 benchmarks/bench_build.py",
+        "seconds": f"wall time, least of {REPEATS} runs",
+        "environment": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "graphs": rows,
+    }
+    OUT.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -7,6 +7,8 @@ across runs and platforms.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import eq
 from typing import Iterable, Sequence
 
 
@@ -19,6 +21,14 @@ class Graph:
     ``"clique"``, ``"pendant"``, ``"layer:2"``) used only for export and
     diagnostics, never by algorithms.  Equality compares vertex count and
     edge set; tags are ignored.
+
+    Construction costs O(n + m log m) in the worst case and about O(n + m)
+    when the edges arrive as a few sorted runs, as the builders emit them
+    (rows of K_n, corona blocks, cylinder rows): the normalized pairs are
+    sorted in place, which merges such runs in linear time, and duplicates
+    are then exactly the equal neighbors.  No set of pairs is built: it
+    would hash every pair, hold a second copy of them, and hand the sort an
+    order with the runs lost.
     """
 
     __slots__ = ("n", "edges", "tags", "_adj")
@@ -26,16 +36,24 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), tags=None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        normalized = set()
+        normalized = []
+        append = normalized.append
         for edge in edges:
             u, v = edge
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            normalized.add((u, v) if u < v else (v, u))
+            if v < u:
+                edge = (v, u)
+            elif type(edge) is not tuple:  # an ordered tuple is kept as it is
+                edge = (u, v)
+            append(edge)
+        normalized.sort()
+        if any(map(eq, normalized, islice(normalized, 1, None))):
+            normalized = dict.fromkeys(normalized)
         self.n = n
-        self.edges = tuple(sorted(normalized))
+        self.edges = tuple(normalized)
         # walking the sorted edges appends every neighbor list in increasing order
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
@@ -121,12 +139,9 @@ def cycle_graph(n: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """Graph with exactly the non-edges of ``g`` (tags preserved)."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
+    edges = []
+    for u, row in enumerate(map(set, g._adj)):
+        edges += [(u, v) for v in range(u + 1, g.n) if v not in row]
     return Graph(g.n, edges, tags=g.tags)
 
 

@@ -24,19 +24,16 @@ class Labeling:
     __slots__ = ("labels", "k_max")
 
     def __init__(self, labels: Iterable[int], k_max: int | None = None):
-        labels = tuple(int(x) for x in labels)
-        for x in labels:
-            if x < 1:
-                raise ValueError(f"labels must be positive integers, got {x}")
-        if k_max is None:
-            k_max = max(labels) if labels else 1
-        k_max = int(k_max)
+        labels = tuple(map(int, labels))
+        if labels and min(labels) < 1:
+            bad = next(x for x in labels if x < 1)
+            raise ValueError(f"labels must be positive integers, got {bad}")
+        top = max(labels) if labels else 1
+        k_max = top if k_max is None else int(k_max)
         if k_max < 1:
             raise ValueError("label budget k_max must be >= 1")
-        if labels and max(labels) > k_max:
-            raise ValueError(
-                f"label {max(labels)} exceeds declared budget k_max={k_max}"
-            )
+        if top > k_max:
+            raise ValueError(f"label {top} exceeds declared budget k_max={k_max}")
         self.labels = labels
         self.k_max = k_max
 
@@ -95,10 +92,11 @@ def d_lucky_sum(g: Graph, labeling: Labeling, u: int) -> int:
 def d_lucky_sums(g: Graph, labeling: Labeling) -> tuple[int, ...]:
     """All per-vertex sums at once."""
     _require_total(g, labeling)
-    sums = [g.degree(u) for u in range(g.n)]
+    labels = labeling.labels
+    sums = list(map(len, g._adj))
     for u, v in g.edges:
-        sums[u] += labeling[v]
-        sums[v] += labeling[u]
+        sums[u] += labels[v]
+        sums[v] += labels[u]
     return tuple(sums)
 
 

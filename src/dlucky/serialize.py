@@ -28,7 +28,8 @@ def _loads(text: str, what: str):
 
 
 def graph_to_json(g: Graph) -> str:
-    obj: dict = {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
+    # tuples serialize as JSON arrays: the edge tuple is written as it is
+    obj: dict = {"n": g.n, "edges": g.edges}
     if g.tags is not None:
         obj["tags"] = list(g.tags)
     return _dumps(obj)
@@ -47,12 +48,9 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError("invalid graph file: 'n' must be an integer")
     if not isinstance(edges, list):
         raise ValueError("invalid graph file: 'edges' must be a list")
+    # json.loads makes exact lists and ints, and bools are not exact ints
     for e in edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-        ):
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
             raise ValueError(f"invalid graph file: bad edge entry {e!r}")
     tags = obj.get("tags")
     if tags is not None:

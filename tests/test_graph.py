@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlucky import (
     Graph,
@@ -31,6 +32,54 @@ def test_graph_normalizes_and_deduplicates():
     assert g.edges == ((0, 1), (0, 2))
     assert g.neighbors(0) == (1, 2)
     assert g.degree(0) == 2 and g.degree(1) == 1
+
+
+def reference_graph(n, edges):
+    """``(edges, adjacency)`` by the plain definition: a set of normalized pairs, sorted."""
+    pairs = sorted({(u, v) if u < v else (v, u) for u, v in edges})
+    adj = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(pairs), tuple(map(tuple, adj))
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and an edge list with repeats, either orientation, in any order."""
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=60))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=20)) if edges else []
+    order = draw(st.sampled_from(["drawn", "sorted", "runs", "shuffled"]))
+    if order == "sorted":
+        edges.sort()
+    elif order == "runs":  # sorted runs of ordered pairs, as the builders emit them
+        cut = draw(st.integers(0, len(edges)))
+        edges = [tuple(sorted(e)) for e in edges]
+        edges = sorted(edges[:cut]) + sorted(edges[cut:])
+    elif order == "shuffled":
+        edges = draw(st.permutations(edges))
+    as_lists = draw(st.booleans())  # graph files hand over lists, builders tuples
+    return n, [list(e) for e in edges] if as_lists else edges
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edge_lists())
+def test_graph_matches_the_set_and_sort_definition(case):
+    n, edges = case
+    g = Graph(n, edges)
+    assert (g.edges, g._adj) == reference_graph(n, edges)
+    assert all(type(e) is tuple for e in g.edges)
+
+
+def test_graph_reports_the_first_bad_edge_in_input_order():
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+        Graph(4, [(1, 0), (2, 2), (0, 9), (3, 3)])
+    with pytest.raises(ValueError, match=r"^edge \(5, 0\) out of range for 4 vertices$"):
+        Graph(4, [(0, 1), (5, 0), (3, 3), (0, -1)])
+    with pytest.raises(ValueError, match=r"^edge \(0, -1\) out of range for 4 vertices$"):
+        Graph(4, [[3, 2], [0, -1], [1, 1]])
 
 
 def test_adjacency_is_symmetric():
@@ -80,6 +129,15 @@ def test_complement_is_involution():
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 10), rng.random())
         assert complement(complement(g)) == g
+
+
+def test_complement_of_a_dense_graph_is_its_non_edges():
+    g = complete_multipartite(4, 5).with_tags(map(str, range(20)))
+    c = complement(g)
+    assert c.edges == tuple(
+        (u, v) for u in range(20) for v in range(u + 1, 20) if u // 4 == v // 4
+    )
+    assert c.tags == g.tags and complement(c) == g
 
 
 def test_cartesian_product_square():

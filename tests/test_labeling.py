@@ -27,6 +27,14 @@ def test_labeling_validation():
     assert Labeling([3, 1]).k_max == 3
 
 
+def test_labeling_names_the_first_bad_label():
+    with pytest.raises(ValueError, match=r"^labels must be positive integers, got 0$"):
+        Labeling([2, 0, -1])
+    with pytest.raises(ValueError, match=r"^label 4 exceeds declared budget k_max=3$"):
+        Labeling([1, 4, 2], k_max=3)
+    assert Labeling([], k_max=2).k_max == 2 and Labeling([]).k_max == 1
+
+
 def test_d_lucky_sum_k2():
     g = complete_graph(2)
     lab = Labeling([1, 1])

@@ -1,9 +1,13 @@
+import json
+
 import pytest
 
 from dlucky import (
     Graph,
     Labeling,
+    build_cocktail,
     build_corona,
+    build_web,
     graph_from_json,
     graph_to_json,
     labeling_from_json,
@@ -49,6 +53,16 @@ def test_graph_from_json_validates():
         graph_from_json('{"n":2,"edges":[],"weird":1}')
     with pytest.raises(ValueError):
         graph_from_json('{"n":2,"edges":[],"tags":["only-one"]}')
+    for edges in ("[[true,1]]", "[[0,1.0]]", '["01"]', '[{"a":1}]', '[{"a":1,"b":2}]'):
+        with pytest.raises(ValueError, match="invalid graph file: bad edge entry"):
+            graph_from_json('{"n":2,"edges":%s}' % edges)
+
+
+def test_graph_to_json_writes_the_bytes_of_edge_lists():
+    for fam in (build_web(3, 6), build_cocktail(2, 3, 1)):
+        g = fam.graph
+        old_form = {"n": g.n, "edges": [[u, v] for u, v in g.edges], "tags": list(g.tags)}
+        assert graph_to_json(g) == json.dumps(old_form, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_labeling_round_trip_and_bytes():
