@@ -9,7 +9,6 @@ exceeded), 2 usage or format error, or any internal failure (one
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import families
@@ -24,6 +23,7 @@ from .graph import (
 )
 from .labeling import max_label, verify
 from .serialize import (
+    _dumps,
     graph_from_json,
     graph_to_json,
     labeling_from_json,
@@ -103,7 +103,7 @@ def cmd_label(args) -> int:
     _write(args.out, labeling_to_json(fam.labeling))
     if args.roles:
         roles = {role: list(v) for role, v in fam.role_index.items()}
-        _write(args.roles, json.dumps(roles, sort_keys=True, separators=(",", ":")) + "\n")
+        _write(args.roles, _dumps(roles))
     report = verify(fam.graph, fam.labeling)
     print(f"claimed_eta={fam.claimed_eta}")
     print(f"max_label={max_label(fam.labeling)}")
@@ -147,7 +147,7 @@ def cmd_bound(args) -> int:
                 "overfull": list(cert.overfull),
             },
         }
-        sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_dumps(obj))
     else:
         print(f"lower bound: {bound}")
         print(
@@ -174,7 +174,7 @@ def cmd_solve(args) -> int:
         "k_tried": result.k_tried,
     }
     if args.json:
-        sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_dumps(obj))
     elif result.eta is not None:
         print(f"eta={result.eta}")
         print(f"witness={list(result.witness.labels)}")
@@ -190,10 +190,6 @@ def cmd_export_dot(args) -> int:
     labeling = None
     if args.labeling is not None:
         labeling = labeling_from_json(_read(args.labeling))
-        if len(labeling) != graph.n:
-            raise ValueError(
-                f"labeling has {len(labeling)} entries for a graph on {graph.n} vertices"
-            )
     _write(args.out, to_dot(graph, labeling))
     return 0
 

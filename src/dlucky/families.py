@@ -141,35 +141,63 @@ def _seal(graph, labels, k, role_index, params, what: str) -> LabeledFamily:
     )
 
 
+def _pendant_labels(n: int, t: int, r: int) -> tuple[int, list[int]]:
+    """Budget k and labels for t parts of size n with r pendants per vertex.
+
+    The labels follow the numbering of ``corona(complete_multipartite(n, t),
+    complement(complete_graph(r)))``: core part j at j*n..(j+1)*n-1, then the
+    pendant blocks of size r per core vertex in core order.  A corona
+    K_n o rK_1 is the case of singleton parts, ``(1, n, r)``.
+
+    With k = ceil((t+n+r-1)/(n+r)), the first min(k*r - r + 1, t) parts form
+    the head group with core label 1 and pendant-walk sums r, r+1, ...; the
+    remaining parts split into full groups of n parts with core label 2, 3,
+    ... and a residual group that takes the *top* q steps of its walk so that
+    the per-part sums stay consecutive across groups.  Every vertex of a part
+    carries the same pendant tuple, keeping part sums equal, and adjacent
+    parts never collide.  When a group walk would need a pendant sum above
+    k*r (possible for small r), the overflowing parts switch to the all-k
+    pendant tuple and absorb the difference in their core labels instead,
+    which preserves the part's target sum without leaving the budget.
+    """
+    k = _ceil_div(t + n + r - 1, n + r)
+    nt, block = n * t, n * r
+    head = min(k * r - r + 1, t)
+    groups, residue = divmod(t - head, n)
+
+    labels = [0] * (nt + nt * r)
+    for j in range(t):
+        if j < head:
+            group_label, walk_sum = 1, r + j
+        else:
+            gi, h = divmod(j - head, n)
+            if gi == groups:  # residual group: top q steps of the walk
+                h += n - residue
+            group_label, walk_sum = gi + 2, r + h
+        if walk_sum <= k * r:
+            core = (group_label,) * n
+            pendants = descending_sum_tuple(walk_sum, r, k)
+        else:
+            spill = walk_sum - k * r
+            core = descending_sum_tuple(n * group_label - spill, n, k)
+            pendants = (k,) * r
+        labels[j * n : (j + 1) * n] = core
+        labels[nt + j * block : nt + (j + 1) * block] = pendants * n
+    return k, labels
+
+
 def build_corona(n: int, r: int) -> LabeledFamily:
     """Complete graph on n vertices with r pendants each, labeled optimally.
 
     Numbering: clique vertices 0..n-1, then pendant blocks of size r per
-    clique vertex in order.  With k = ceil((n+r)/(r+1)), the first
-    ``min(k*r - r + 1, n)`` clique vertices get label 1 and their pendant
-    blocks get the greedy tuples with sums r, r+1, ...; any remaining clique
-    vertices get labels 2, 3, ... with all-ones pendant blocks.  Clique sums
-    come out consecutive, so adjacent vertices never collide.
+    clique vertex in order.  The labeling is the pendant scheme of
+    ``_pendant_labels`` with n singleton parts, k = ceil((n+r)/(r+1)): clique
+    sums come out consecutive, so adjacent vertices never collide.
     """
     params = CoronaParams(n, r)
-    k = _ceil_div(n + r, r + 1)
+    k, labels = _pendant_labels(1, n, r)
     graph = corona(complete_graph(n), complement(complete_graph(r)))
-    head = min(k * r - r + 1, n)
-    if n > head and n - head + 1 > k:
-        raise ConstructionError(
-            f"corona({n},{r}): {n - head} clique vertices left over exceed budget {k}"
-        )
-
-    labels = [0] * graph.n
-    for i in range(n):
-        labels[i] = 1 if i < head else i - head + 2
-    for i in range(n):
-        block = n + i * r
-        tup = descending_sum_tuple(r + i, r, k) if i < head else (1,) * r
-        labels[block : block + r] = tup
-
-    tags = ["clique"] * n + ["pendant"] * (n * r)
-    graph = graph.with_tags(tags)
+    graph = graph.with_tags(["clique"] * n + ["pendant"] * (n * r))
     role_index = {"clique": tuple(range(n))}
     for i in range(n):
         role_index[f"pendants_{i + 1}"] = tuple(range(n + i * r, n + (i + 1) * r))
@@ -191,21 +219,20 @@ def build_web(m: int, n: int) -> LabeledFamily:
     matching joins top-layer vertex x to clique vertex x and is subdivided,
     placing vertex u_x at m*n + n + x; finally every cycle edge of the
     cylinder is subdivided, the new vertices appended from m*n + 2*n onward
-    in lexicographic order of the replaced edges.  Total 2*m*n + 2*n
-    vertices.
+    in lexicographic order of the replaced edges, which puts layer a's n
+    cycle edges at m*n + 2*n + a*n onward.  Total 2*m*n + 2*n vertices.
 
     Labeling with k = ceil((n+1)/2): the clique plus the u-vertices induce a
-    one-pendant corona labeled by the corona scheme (clique prefix 1's, the
-    rest 2, 3, ...; u_x = x+1 for x < k, else 1); cylinder layers take the
-    alternating 2-coloring seeded at the top (1 for odd m, 2 for even m) with
-    cycle-subdivision vertices opposite their layer; three targeted top-layer
-    relabels to 3 remove the only colliding edge families:
+    one-pendant corona labeled by the corona scheme, ``_pendant_labels(1, n,
+    1)``; cylinder layers take the alternating 2-coloring seeded at the top
+    (1 for odd m, 2 for even m) with cycle-subdivision vertices opposite
+    their layer; three targeted top-layer relabels to 3 remove the only
+    colliding edge families:
 
     * odd m:  w_{k+7} <- 3 when k+7 <= n,
     * even m: w_5 <- 3 when 5 <= k, and w_{k+3} <- 3 when k+3 <= n.
     """
     params = WebParams(m, n)
-    k = _ceil_div(n + 1, 2)
 
     cylinder = cartesian_product(path_graph(m), cycle_graph(n))
     mn = m * n
@@ -215,26 +242,16 @@ def build_web(m: int, n: int) -> LabeledFamily:
     union_edges += matching
     g = Graph(mn + n, union_edges)
     g = subdivide_edges(g, matching)  # u_x = mn + n + x
-
-    cycle_edges = []
-    for a in range(m):
-        for x in range(n):
-            y = (x + 1) % n
-            e = (a * n + x, a * n + y)
-            cycle_edges.append(e if e[0] < e[1] else (e[1], e[0]))
-    g = subdivide_edges(g, cycle_edges)
+    # the cycle edges are the cylinder edges inside one layer, in sorted order
+    g = subdivide_edges(g, [(u, v) for u, v in cylinder.edges if u // n == v // n])
     sub_base = mn + 2 * n
-    sub_index = {e: sub_base + i for i, e in enumerate(sorted(set(cycle_edges)))}
 
     labels = [0] * g.n
+    k, labels[mn:sub_base] = _pendant_labels(1, n, 1)
     for a in range(m):
-        for x in range(n):
-            labels[a * n + x] = _web_layer_label(a, m)
-    for x in range(n):
-        labels[mn + x] = 1 if x < k else x - k + 2
-        labels[mn + n + x] = x + 1 if x < k else 1
-    for e, idx in sub_index.items():
-        labels[idx] = 3 - _web_layer_label(e[0] // n, m)
+        layer = _web_layer_label(a, m)
+        labels[a * n : (a + 1) * n] = [layer] * n
+        labels[sub_base + a * n : sub_base + (a + 1) * n] = [3 - layer] * n
     if m % 2 == 1:
         if k + 7 <= n:
             labels[k + 6] = 3
@@ -244,20 +261,13 @@ def build_web(m: int, n: int) -> LabeledFamily:
         if k + 3 <= n:
             labels[k + 2] = 3
 
-    tags = [""] * g.n
-    for a in range(m):
-        for x in range(n):
-            tags[a * n + x] = f"layer:{a}"
-    for x in range(n):
-        tags[mn + x] = "clique"
-        tags[mn + n + x] = "subdivision:match"
-    for idx in sub_index.values():
-        tags[idx] = "subdivision:cycle"
+    tags = [f"layer:{a}" for a in range(m) for _ in range(n)]
+    tags += ["clique"] * n + ["subdivision:match"] * n + ["subdivision:cycle"] * mn
     g = g.with_tags(tags)
 
     role_index = {
         "clique": tuple(range(mn, mn + n)),
-        "match_subdivision": tuple(range(mn + n, mn + 2 * n)),
+        "match_subdivision": tuple(range(mn + n, sub_base)),
         "top_layer": tuple(range(n)),
     }
     for a in range(1, m):
@@ -270,69 +280,23 @@ def build_cocktail(n: int, t: int, r: int) -> LabeledFamily:
     """Complete t-partite graph (parts of size n) with r pendants per vertex.
 
     Numbering: core part j occupies j*n..(j+1)*n-1 (part-major), followed by
-    pendant blocks of size r per core vertex in core order.
-
-    Labeling with k = ceil((t+n+r-1)/(n+r)): the first min(k*r - r + 1, t)
-    parts form the head group with core label 1 and pendant-walk sums
-    r, r+1, ...; the remaining parts split into full groups of n parts with
-    core label 2, 3, ... and a residual group that takes the *top* q steps of
-    its walk so that the per-part sums stay consecutive across groups.  Every
-    vertex of a part carries the same pendant tuple, keeping part sums equal.
-    When a group walk would need a pendant sum above k*r (possible for small
-    r), the overflowing parts switch to the all-k pendant tuple and absorb the
-    difference in their core labels instead, which preserves the part's
-    target sum without leaving the budget.
+    pendant blocks of size r per core vertex in core order, so the pendants
+    of part j are n*t + j*n*r .. n*t + (j+1)*n*r - 1.  The labeling is the
+    pendant scheme of ``_pendant_labels``, k = ceil((t+n+r-1)/(n+r)).
     """
     params = CocktailParams(n, t, r)
-    k = _ceil_div(t + n + r - 1, n + r)
-    core = complete_multipartite(n, t)
-    graph = corona(core, complement(complete_graph(r)))
-    nt = n * t
+    k, labels = _pendant_labels(n, t, r)
+    graph = corona(complete_multipartite(n, t), complement(complete_graph(r)))
+    nt, block = n * t, n * r
 
-    head = min(k * r - r + 1, t)
-    groups, residue = divmod(t - head, n)
-
-    core_tuples: list[tuple[int, ...]] = []
-    pend_tuples: list[tuple[int, ...]] = []
-    for j in range(t):
-        if j < head:
-            group_label, walk_sum = 1, r + j
-        else:
-            gi, h = divmod(j - head, n)
-            if gi == groups:  # residual group: top q steps of the walk
-                h += n - residue
-            group_label, walk_sum = gi + 2, r + h
-        if walk_sum <= k * r:
-            core_tuples.append((group_label,) * n)
-            pend_tuples.append(descending_sum_tuple(walk_sum, r, k))
-        else:
-            spill = walk_sum - k * r
-            core_tuples.append(descending_sum_tuple(n * group_label - spill, n, k))
-            pend_tuples.append((k,) * r)
-
-    labels = [0] * graph.n
-    for j in range(t):
-        labels[j * n : (j + 1) * n] = core_tuples[j]
-        for x in range(n):
-            v = j * n + x
-            labels[nt + v * r : nt + (v + 1) * r] = pend_tuples[j]
-
-    tags = [""] * graph.n
-    role_index: dict[str, tuple[int, ...]] = {}
-    for j in range(t):
-        part = tuple(range(j * n, (j + 1) * n))
-        role_index[f"part_{j + 1}"] = part
-        for v in part:
-            tags[v] = f"part:{j + 1}"
-    for j in range(t):
-        pend = []
-        for x in range(n):
-            v = j * n + x
-            pend.extend(range(nt + v * r, nt + (v + 1) * r))
-        role_index[f"part_{j + 1}_pendants"] = tuple(pend)
-        for v in pend:
-            tags[v] = "pendant"
+    tags = [f"part:{j + 1}" for j in range(t) for _ in range(n)]
+    tags += ["pendant"] * (nt * r)
     graph = graph.with_tags(tags)
+    role_index = {f"part_{j + 1}": tuple(range(j * n, (j + 1) * n)) for j in range(t)}
+    for j in range(t):
+        role_index[f"part_{j + 1}_pendants"] = tuple(
+            range(nt + j * block, nt + (j + 1) * block)
+        )
     return _seal(graph, labels, k, role_index, params, f"cocktail({n},{t},{r})")
 
 

@@ -192,13 +192,9 @@ def complete_multipartite(n: int, t: int) -> Graph:
     """
     if n < 1 or t < 1:
         raise ValueError("complete multipartite graph requires n >= 1 and t >= 1")
-    edges = []
-    for j in range(t):
-        for jj in range(j + 1, t):
-            for x in range(n):
-                for y in range(n):
-                    edges.append((j * n + x, jj * n + y))
-    return Graph(n * t, edges)
+    nt = n * t
+    # u's neighbors above it start at the first vertex of the next part
+    return Graph(nt, [(u, v) for u in range(nt) for v in range((u // n + 1) * n, nt)])
 
 
 def subdivide_edges(g: Graph, edges_to_split: Iterable[Sequence[int]]) -> Graph:

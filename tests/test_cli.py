@@ -266,6 +266,7 @@ def test_export_dot_invalid_labeling_exit_2(tmp_path, capsys):
     lab.write_text('{"labels":[1,2]}\n')  # wrong length
     code, _, err = run(capsys, "export-dot", str(g), "--labeling", str(lab))
     assert code == 2
+    assert "labeling has 2 entries for a graph on 3 vertices" in err
 
 
 def test_unknown_flags_are_errors(capsys):

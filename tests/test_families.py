@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from dlucky import (
+    ConstructionError,
     build_cocktail,
     build_corona,
     build_web,
@@ -10,10 +13,13 @@ from dlucky import (
     descending_sum_tuple,
     exact_eta,
     family_dsum_table,
+    graph_to_json,
+    labeling_to_json,
     lower_bound_thm1,
     max_label,
     verify,
 )
+from dlucky.families import _seal
 from conftest import oracle_eta
 
 
@@ -278,6 +284,14 @@ def test_cocktail_with_singleton_parts_matches_corona():
         assert a.claimed_eta == b.claimed_eta
 
 
+def test_web_clique_and_match_labels_are_the_one_pendant_corona():
+    for m, n in [(3, 5), (4, 6), (3, 9), (6, 16)]:
+        web = build_web(m, n)
+        pendant = build_cocktail(1, n, 1)
+        assert web.claimed_eta == pendant.claimed_eta
+        assert web.labeling.labels[m * n : m * n + 2 * n] == pendant.labeling.labels
+
+
 def test_cocktail_solver_confirms_small_instances():
     for n, t, r in [(1, 3, 1), (2, 2, 1), (1, 4, 2), (3, 2, 1)]:
         fam = build_cocktail(n, t, r)
@@ -307,3 +321,40 @@ def test_dsum_table_rows_match_roles():
 def test_corona_graph_matches_plain_operators():
     fam = build_corona(4, 3)
     assert fam.graph == corona(complete_graph(4), complement(complete_graph(3)))
+
+
+def test_seal_raises_construction_error_with_the_report():
+    triangle = complete_graph(3)
+    # all labels equal on K_3: every edge joins two vertices of d-sum 4
+    with pytest.raises(ConstructionError, match="3 conflicting edge") as exc:
+        _seal(triangle, [1, 1, 1], 1, {}, None, "triangle")
+    assert len(exc.value.report.conflicts) == 3
+    # d-lucky with labels 1, 2, 3 but claimed with budget 4
+    with pytest.raises(ConstructionError, match="max label 3, expected 4") as exc:
+        _seal(triangle, [1, 2, 3], 4, {}, None, "triangle")
+    assert exc.value.report.is_d_lucky
+
+
+# instances on both sides of the corona head, the web patch thresholds, and
+# the cocktail residual group and spill; the digest pins every byte of their
+# graph JSON (tags included), labeling JSON and role order
+GOLDEN_GRID = [
+    (build_corona, (2, 1)), (build_corona, (5, 4)), (build_corona, (6, 3)),
+    (build_corona, (7, 2)), (build_corona, (11, 1)),
+    (build_web, (3, 5)), (build_web, (3, 6)), (build_web, (4, 6)),
+    (build_web, (4, 15)), (build_web, (3, 16)),
+    (build_cocktail, (1, 2, 1)), (build_cocktail, (2, 3, 2)), (build_cocktail, (3, 5, 1)),
+    (build_cocktail, (2, 6, 1)), (build_cocktail, (2, 7, 1)), (build_cocktail, (3, 8, 1)),
+    (build_cocktail, (3, 8, 4)),
+]
+GOLDEN_SHA256 = "996a40325fa9b13002de23b93eff7aef08e1f99f90275fbb9e3c40edefd57391"
+
+
+def test_family_output_is_byte_stable():
+    digest = hashlib.sha256()
+    for build, args in GOLDEN_GRID:
+        fam = build(*args)
+        digest.update(graph_to_json(fam.graph).encode())
+        digest.update(labeling_to_json(fam.labeling).encode())
+        digest.update(repr(fam.role_index).encode())
+    assert digest.hexdigest() == GOLDEN_SHA256

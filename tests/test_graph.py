@@ -205,6 +205,12 @@ def test_complete_multipartite():
     assert all(g.degree(u) == 21 for u in range(24))
     # part-major numbering: no edges inside a part
     assert not g.has_edge(0, 1) and g.has_edge(0, 3)
+    # edges exactly between different parts, by the definition
+    for n, t in [(1, 3), (2, 2), (2, 5), (3, 4), (4, 3)]:
+        defined = [
+            (u, v) for u in range(n * t) for v in range(u + 1, n * t) if u // n != v // n
+        ]
+        assert complete_multipartite(n, t).edges == tuple(defined)
 
 
 def test_subdivide_one_edge_of_triangle_gives_c4():
