@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 import dlucky
-from dlucky.bounds import _best_clique, _greedy_clique, _masks, _omega, clique_bound
+from dlucky.bounds import _best_clique, _f, _greedy_clique, _masks, _omega
 
 OUT = Path(__file__).resolve().parent / "BENCH_7.json"
 REPEATS = 3
@@ -51,8 +51,8 @@ def by_listing(g):
     """Theorem 1 by its definition: the first best of all maximum cliques."""
     records = dlucky.enumerate_maximum_cliques(g, vertex_cap=None)
     omega = len(records[0].vertices)
-    best = max(records, key=lambda record: clique_bound(record, omega))
-    return clique_bound(best, omega), best, len(records)
+    best = max(records, key=lambda record: _f(record.delta, record.max_deg, omega))
+    return _f(best.delta, best.max_deg, omega), best, len(records)
 
 
 def measure(family: str, params: tuple) -> dict:

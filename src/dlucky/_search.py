@@ -16,15 +16,21 @@ def hall_fails(los, his) -> bool:
     By Hall's theorem that happens exactly when some interval ``[a, b]``
     contains more of the ranges than its ``b - a + 1`` values.  The test is
     the greedy matching that decides it: ranges by increasing high end, each
-    takes the least value of its range that no earlier one took.
+    takes the least value of its range that no earlier one took.  ``above``
+    maps each taken value v to some w > v with every value in [v, w) taken;
+    the paths are compressed, so the test is near-linear even when many
+    ranges share a low end (López-Ortiz, Quimper, Tromp and van Beek, 2003).
     """
-    taken = set()
+    above = {}
     for hi, x in sorted(zip(his, los)):
-        while x in taken:
-            x += 1
-        if x > hi:
+        free = x
+        while free in above:
+            free = above[free]
+        if free > hi:
             return True
-        taken.add(x)
+        above[free] = free + 1
+        while x != free:
+            above[x], x = free + 1, above[x]
     return False
 
 

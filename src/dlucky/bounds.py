@@ -267,13 +267,6 @@ def enumerate_maximum_cliques(
     return [_record(g, vertices) for vertices in sorted(_pivot_search(masks, omega))]
 
 
-def clique_bound(record: CliqueRecord, omega: int) -> int:
-    """Label lower bound contributed by one maximum clique (clamped at 1)."""
-    if record.max_deg - omega + 2 < 1:
-        raise ValueError("clique vertex of degree below omega - 1; input is not a clique of its host")
-    return _f(record.delta, record.max_deg, omega)
-
-
 def lower_bound_thm1_witness(g: Graph) -> tuple[int, CliqueRecord]:
     """Theorem 1's bound on the d-lucky number of a connected graph, with its witness.
 

@@ -48,58 +48,39 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _require(args, names: list[str], family: str):
-    values = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            raise ValueError(f"family '{family}' requires --{name}")
-        values.append(value)
-    return values
+# family name -> (function, its flags in argument order); ``gen`` writes every
+# family, ``label`` only those of LABELED, whose builders also label the graph
+GRAPHS = {
+    "complete": (complete_graph, ("n",)),
+    "path": (path_graph, ("m",)),
+    "cycle": (cycle_graph, ("n",)),
+    "cylinder": (lambda m, n: cartesian_product(path_graph(m), cycle_graph(n)), ("m", "n")),
+    "multipartite": (complete_multipartite, ("n", "t")),
+}
+LABELED = {
+    "corona": (families.build_corona, ("n", "r")),
+    "web": (families.build_web, ("m", "n")),
+    "cocktail": (families.build_cocktail, ("n", "t", "r")),
+}
 
 
-def _family_graph(args):
-    family = args.family
-    if family == "complete":
-        (n,) = _require(args, ["n"], family)
-        return complete_graph(n)
-    if family == "path":
-        (m,) = _require(args, ["m"], family)
-        return path_graph(m)
-    if family == "cycle":
-        (n,) = _require(args, ["n"], family)
-        return cycle_graph(n)
-    if family == "cylinder":
-        m, n = _require(args, ["m", "n"], family)
-        return cartesian_product(path_graph(m), cycle_graph(n))
-    if family == "multipartite":
-        n, t = _require(args, ["n", "t"], family)
-        return complete_multipartite(n, t)
-    return _built_family(args).graph
-
-
-def _built_family(args):
-    family = args.family
-    if family == "corona":
-        n, r = _require(args, ["n", "r"], family)
-        return families.build_corona(n, r)
-    if family == "web":
-        m, n = _require(args, ["m", "n"], family)
-        return families.build_web(m, n)
-    if family == "cocktail":
-        n, t, r = _require(args, ["n", "t", "r"], family)
-        return families.build_cocktail(n, t, r)
-    raise ValueError(f"family '{family}' has no optimal labeling builder")
+def _build(table, args):
+    """Call the family's function on its flags; the first missing flag is an error."""
+    fn, flags = table[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        raise ValueError(f"family '{args.family}' requires --{flags[values.index(None)]}")
+    return fn(*values)
 
 
 def cmd_gen(args) -> int:
-    graph = _family_graph(args)
+    graph = _build(GRAPHS, args) if args.family in GRAPHS else _build(LABELED, args).graph
     _write(args.out, graph_to_json(graph))
     return 0
 
 
 def cmd_label(args) -> int:
-    fam = _built_family(args)
+    fam = _build(LABELED, args)
     _write(args.out, labeling_to_json(fam.labeling))
     if args.roles:
         roles = {role: list(v) for role, v in fam.role_index.items()}
@@ -140,12 +121,7 @@ def cmd_bound(args) -> int:
             "clique": list(best.vertices),
             "delta": best.delta,
             "max_deg": best.max_deg,
-            "hall": {
-                "bound": hall_bound,
-                "parts": [list(part) for part in cert.parts],
-                "interval": list(cert.interval) if cert.interval else None,
-                "overfull": list(cert.overfull),
-            },
+            "hall": {"bound": hall_bound, **cert._asdict()},
         }
         sys.stdout.write(_dumps(obj))
     else:
@@ -209,19 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a family graph as canonical JSON")
-    p.add_argument(
-        "family",
-        choices=[
-            "complete", "path", "cycle", "corona",
-            "cylinder", "web", "multipartite", "cocktail",
-        ],
-    )
+    p.add_argument("family", choices=[*GRAPHS, *LABELED])
     _add_family_flags(p)
     p.add_argument("-o", "--out", default="-", help="output path ('-' = stdout)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("label", help="write a family's optimal labeling as JSON")
-    p.add_argument("family", choices=["corona", "web", "cocktail"])
+    p.add_argument("family", choices=list(LABELED))
     _add_family_flags(p)
     p.add_argument("-o", "--out", default="-", help="output path ('-' = stdout)")
     p.add_argument("--roles", default=None, help="also write the role index map here")

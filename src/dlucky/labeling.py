@@ -9,6 +9,7 @@ never share that sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 from .graph import Graph
@@ -24,7 +25,12 @@ class Labeling:
     __slots__ = ("labels", "k_max")
 
     def __init__(self, labels: Iterable[int], k_max: int | None = None):
-        labels = tuple(map(int, labels))
+        labels = tuple(labels)
+        try:
+            labels = tuple(map(index, labels))
+        except TypeError:
+            bad = next(x for x in labels if not hasattr(x, "__index__"))
+            raise ValueError(f"labels must be integers, got {bad!r}") from None
         if labels and min(labels) < 1:
             bad = next(x for x in labels if x < 1)
             raise ValueError(f"labels must be positive integers, got {bad}")

@@ -6,6 +6,7 @@ and never call the code paths they are used to check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -116,14 +117,27 @@ def oracle_maximal_cliques(g: Graph):
     )
 
 
-def connected_graphs(max_n: int):
-    """Every connected labeled graph on 1..max_n vertices."""
+def oracle_hall_fails(los, his) -> bool:
+    """Hall's condition read off its definition: some interval [a, b] holds
+    more of the ranges [los[i], his[i]] than its values (none when b < a)."""
+    return any(
+        sum(a <= lo and hi <= b for lo, hi in zip(los, his)) > max(0, b - a + 1)
+        for a in los
+        for b in his
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def connected_graphs(max_n: int) -> tuple[Graph, ...]:
+    """Every connected labeled graph on 1..max_n vertices, built once per ``max_n``."""
     from dlucky import is_connected
 
+    graphs = []
     for nv in range(1, max_n + 1):
         pairs = list(itertools.combinations(range(nv), 2))
         for mask in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             g = Graph(nv, edges)
             if is_connected(g):
-                yield g
+                graphs.append(g)
+    return tuple(graphs)

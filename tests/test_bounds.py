@@ -35,6 +35,7 @@ from dlucky.parts import (
 )
 from conftest import (
     connected_graphs,
+    oracle_hall_fails,
     oracle_maximal_cliques,
     oracle_maximum_cliques,
     random_graph,
@@ -300,6 +301,25 @@ def test_part_bound_is_never_below_its_seed_clique():
         assert bound >= seed_bound
         assert check_hall_bound(g, bound, cert)
 
+
+
+def test_hall_fails_matches_the_definition():
+    rng = random.Random(2003)
+    answers = set()
+    for _ in range(3000):
+        los = [rng.randint(-3, 6) for _ in range(rng.randint(0, 8))]
+        his = [lo + rng.randint(-1, 5) for lo in los]
+        answers.add(hall_fails(los, his))
+        assert hall_fails(los, his) == oracle_hall_fails(los, his), (los, his)
+    assert answers == {False, True}
+
+
+def test_hall_fails_is_near_linear_when_ranges_share_a_low_end():
+    # every range starts at 0: a linear walk over the taken values is quadratic
+    start = time.perf_counter()
+    assert not hall_fails([0] * 20000, [19999] * 20000)
+    assert hall_fails([0] * 20001, [19999] * 20001)
+    assert time.perf_counter() - start < 2
 
 
 def test_clique_ranges_match_the_parts_of_one_vertex():

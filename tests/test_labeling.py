@@ -25,6 +25,14 @@ def test_labeling_validation():
     lab = Labeling([1, 2], k_max=5)  # budget may exceed the max used label
     assert lab.k_max == 5
     assert Labeling([3, 1]).k_max == 3
+    # labels are never rounded or parsed: the first non-integer is named
+    with pytest.raises(ValueError, match=r"^labels must be integers, got 2\.5$"):
+        Labeling([1, 2.5, 1.0])
+    with pytest.raises(ValueError, match=r"^labels must be integers, got '3'$"):
+        Labeling(iter(["3", 1]))
+    with pytest.raises(ValueError, match=r"^labels must be integers, got 2\.0$"):
+        Labeling([2.0])
+    assert Labeling([True, 2]).labels == (1, 2)
 
 
 def test_labeling_names_the_first_bad_label():
