@@ -33,7 +33,7 @@ def test_tracer_wraps_every_name_and_restores_it():
     tracer = spans.Tracer()
     try:
         spans.instrument(tracer, dlucky)
-        wrapped = [(owner, attr, fn) for owner, attr, fn in tracer._undo]
+        wrapped = list(tracer._undo)
         assert all(getattr(owner, attr) is not fn for owner, attr, fn in wrapped)
     finally:
         tracer.restore()
