@@ -31,11 +31,8 @@ from .bounds import (
     lower_bound_thm1_witness,
 )
 from .families import (
-    CocktailParams,
     ConstructionError,
-    CoronaParams,
     LabeledFamily,
-    WebParams,
     build_cocktail,
     build_corona,
     build_web,
@@ -82,11 +79,8 @@ __all__ = [
     "lower_bound_cor2",
     "lower_bound_thm1",
     "lower_bound_thm1_witness",
-    "CocktailParams",
     "ConstructionError",
-    "CoronaParams",
     "LabeledFamily",
-    "WebParams",
     "build_cocktail",
     "build_corona",
     "build_web",

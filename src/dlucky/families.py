@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import (
+# The builders call only ``Graph``.  The operators stay imported because the
+# benchmark's tracer (perfbench/spans.py) wraps them as attributes of this module.
+from .graph import (  # noqa: F401
     Graph,
     cartesian_product,
     complement,
@@ -38,51 +40,6 @@ class ConstructionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CoronaParams:
-    """Clique size n >= 2 with r >= 1 pendants per clique vertex."""
-
-    n: int
-    r: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"corona family requires clique size n >= 2, got n={self.n}")
-        if self.r < 1:
-            raise ValueError(f"corona family requires r >= 1 pendants, got r={self.r}")
-
-
-@dataclass(frozen=True)
-class WebParams:
-    """Cylinder depth m >= 3 and cycle length n >= 5."""
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 3:
-            raise ValueError(f"web family requires m >= 3, got m={self.m}")
-        if self.n < 5:
-            raise ValueError(f"web family requires n >= 5, got n={self.n}")
-
-
-@dataclass(frozen=True)
-class CocktailParams:
-    """Part size n >= 1, part count t >= 2, and r >= 1 pendants per vertex."""
-
-    n: int
-    t: int
-    r: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.r < 1:
-            raise ValueError(
-                f"cocktail family requires n >= 1 and r >= 1, got n={self.n}, r={self.r}"
-            )
-        if self.t < 2:
-            raise ValueError(f"cocktail family requires t >= 2 parts, got t={self.t}")
-
-
-@dataclass(frozen=True)
 class LabeledFamily:
     """A family instance: graph, verified labeling, and its claimed optimum.
 
@@ -94,7 +51,6 @@ class LabeledFamily:
     labeling: Labeling
     claimed_eta: int
     role_index: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    params: object = None
 
 
 def descending_sum_tuple(total: int, length: int, k: int) -> tuple[int, ...]:
@@ -117,7 +73,7 @@ def descending_sum_tuple(total: int, length: int, k: int) -> tuple[int, ...]:
     return (k,) * q + (1 + s,) + (1,) * (length - q - 1)
 
 
-def _seal(graph, labels, k, role_index, params, what: str) -> LabeledFamily:
+def _seal(graph, labels, k, role_index, what: str) -> LabeledFamily:
     labeling = Labeling(labels, k_max=k)
     report = verify(graph, labeling)
     if report.conflicts:
@@ -132,22 +88,18 @@ def _seal(graph, labels, k, role_index, params, what: str) -> LabeledFamily:
         raise ConstructionError(
             f"{what} labeling uses max label {used}, expected {k}", report
         )
-    return LabeledFamily(
-        graph=graph,
-        labeling=labeling,
-        claimed_eta=k,
-        role_index=role_index,
-        params=params,
-    )
+    return LabeledFamily(graph=graph, labeling=labeling, claimed_eta=k, role_index=role_index)
 
 
-def _pendant_labels(n: int, t: int, r: int) -> tuple[int, list[int]]:
-    """Budget k and labels for t parts of size n with r pendants per vertex.
+def _pendant_corona(n: int, t: int, r: int) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """Budget k, labels and sorted edges for t parts of size n with r pendants per vertex.
 
-    The labels follow the numbering of ``corona(complete_multipartite(n, t),
-    complement(complete_graph(r)))``: core part j at j*n..(j+1)*n-1, then the
-    pendant blocks of size r per core vertex in core order.  A corona
-    K_n o rK_1 is the case of singleton parts, ``(1, n, r)``.
+    The graph is ``corona(complete_multipartite(n, t), complement(
+    complete_graph(r)))``: core part j at j*n..(j+1)*n-1, then the pendant
+    blocks of size r per core vertex in core order.  Core vertex u is joined
+    to every vertex of the later parts and to its pendants nt + u*r ..
+    nt + (u+1)*r - 1; both runs ascend, so the edges come out sorted.  A
+    corona K_n o rK_1 is the case of singleton parts, ``(1, n, r)``.
 
     With k = ceil((t+n+r-1)/(n+r)), the first min(k*r - r + 1, t) parts form
     the head group with core label 1 and pendant-walk sums r, r+1, ...; the
@@ -166,6 +118,7 @@ def _pendant_labels(n: int, t: int, r: int) -> tuple[int, list[int]]:
     groups, residue = divmod(t - head, n)
 
     labels = [0] * (nt + nt * r)
+    edges = []
     for j in range(t):
         if j < head:
             group_label, walk_sum = 1, r + j
@@ -183,7 +136,11 @@ def _pendant_labels(n: int, t: int, r: int) -> tuple[int, list[int]]:
             pendants = (k,) * r
         labels[j * n : (j + 1) * n] = core
         labels[nt + j * block : nt + (j + 1) * block] = pendants * n
-    return k, labels
+        later = range((j + 1) * n, nt)
+        for u in range(j * n, (j + 1) * n):
+            edges += [(u, v) for v in later]
+            edges += [(u, p) for p in range(nt + u * r, nt + (u + 1) * r)]
+    return k, labels, edges
 
 
 def build_corona(n: int, r: int) -> LabeledFamily:
@@ -191,17 +148,19 @@ def build_corona(n: int, r: int) -> LabeledFamily:
 
     Numbering: clique vertices 0..n-1, then pendant blocks of size r per
     clique vertex in order.  The labeling is the pendant scheme of
-    ``_pendant_labels`` with n singleton parts, k = ceil((n+r)/(r+1)): clique
+    ``_pendant_corona`` with n singleton parts, k = ceil((n+r)/(r+1)): clique
     sums come out consecutive, so adjacent vertices never collide.
     """
-    params = CoronaParams(n, r)
-    k, labels = _pendant_labels(1, n, r)
-    graph = corona(complete_graph(n), complement(complete_graph(r)))
-    graph = graph.with_tags(["clique"] * n + ["pendant"] * (n * r))
+    if n < 2:
+        raise ValueError(f"corona family requires clique size n >= 2, got n={n}")
+    if r < 1:
+        raise ValueError(f"corona family requires r >= 1 pendants, got r={r}")
+    k, labels, edges = _pendant_corona(1, n, r)
+    graph = Graph(n + n * r, edges, tags=["clique"] * n + ["pendant"] * (n * r))
     role_index = {"clique": tuple(range(n))}
     for i in range(n):
         role_index[f"pendants_{i + 1}"] = tuple(range(n + i * r, n + (i + 1) * r))
-    return _seal(graph, labels, k, role_index, params, f"corona({n},{r})")
+    return _seal(graph, labels, k, role_index, f"corona({n},{r})")
 
 
 def _web_layer_label(a: int, m: int) -> int:
@@ -215,15 +174,15 @@ def build_web(m: int, n: int) -> LabeledFamily:
     """Web graph on a cylinder of depth m over an n-cycle, labeled optimally.
 
     Construction and numbering: cylinder vertices (a, x) = a*n + x for layers
-    a = 0..m-1 (layer 0 is the top); the n-clique occupies m*n..m*n+n-1; a
-    matching joins top-layer vertex x to clique vertex x and is subdivided,
-    placing vertex u_x at m*n + n + x; finally every cycle edge of the
-    cylinder is subdivided, the new vertices appended from m*n + 2*n onward
-    in lexicographic order of the replaced edges, which puts layer a's n
-    cycle edges at m*n + 2*n + a*n onward.  Total 2*m*n + 2*n vertices.
+    a = 0..m-1 (layer 0 is the top), each (a, x) joined to (a+1, x); the
+    n-clique occupies m*n..m*n+n-1; vertex u_x = m*n + n + x subdivides the
+    matching edge from top-layer vertex x to clique vertex x.  Every cycle
+    edge of every layer is subdivided too: the i-th edge of layer a, in the
+    sorted order (0,1), (0,n-1), (1,2), ..., (n-2,n-1) of the n-cycle, goes
+    through vertex m*n + 2*n + a*n + i.  Total 2*m*n + 2*n vertices.
 
     Labeling with k = ceil((n+1)/2): the clique plus the u-vertices induce a
-    one-pendant corona labeled by the corona scheme, ``_pendant_labels(1, n,
+    one-pendant corona labeled by the corona scheme, ``_pendant_corona(1, n,
     1)``; cylinder layers take the alternating 2-coloring seeded at the top
     (1 for odd m, 2 for even m) with cycle-subdivision vertices opposite
     their layer; three targeted top-layer relabels to 3 remove the only
@@ -232,22 +191,24 @@ def build_web(m: int, n: int) -> LabeledFamily:
     * odd m:  w_{k+7} <- 3 when k+7 <= n,
     * even m: w_5 <- 3 when 5 <= k, and w_{k+3} <- 3 when k+3 <= n.
     """
-    params = WebParams(m, n)
-
-    cylinder = cartesian_product(path_graph(m), cycle_graph(n))
+    if m < 3:
+        raise ValueError(f"web family requires m >= 3, got m={m}")
+    if n < 5:
+        raise ValueError(f"web family requires n >= 5, got n={n}")
     mn = m * n
-    union_edges = list(cylinder.edges)
-    union_edges += [(mn + i, mn + j) for i in range(n) for j in range(i + 1, n)]
-    matching = [(x, mn + x) for x in range(n)]
-    union_edges += matching
-    g = Graph(mn + n, union_edges)
-    g = subdivide_edges(g, matching)  # u_x = mn + n + x
-    # the cycle edges are the cylinder edges inside one layer, in sorted order
-    g = subdivide_edges(g, [(u, v) for u, v in cylinder.edges if u // n == v // n])
     sub_base = mn + 2 * n
+    labels = [0] * (sub_base + mn)
+    k, labels[mn:sub_base], corona_edges = _pendant_corona(1, n, 1)
 
-    labels = [0] * g.n
-    k, labels[mn:sub_base] = _pendant_labels(1, n, 1)
+    edges = [(x, mn + n + x) for x in range(n)]
+    edges += [(v, v + n) for v in range(mn - n)]
+    cycle = [(0, 1), (0, n - 1)] + [(x, x + 1) for x in range(1, n - 1)]
+    for a in range(m):
+        base, w = a * n, sub_base + a * n
+        for i, (x, y) in enumerate(cycle):
+            edges += ((base + x, w + i), (base + y, w + i))
+    edges += [(mn + u, mn + v) for u, v in corona_edges]
+
     for a in range(m):
         layer = _web_layer_label(a, m)
         labels[a * n : (a + 1) * n] = [layer] * n
@@ -263,7 +224,7 @@ def build_web(m: int, n: int) -> LabeledFamily:
 
     tags = [f"layer:{a}" for a in range(m) for _ in range(n)]
     tags += ["clique"] * n + ["subdivision:match"] * n + ["subdivision:cycle"] * mn
-    g = g.with_tags(tags)
+    g = Graph(len(labels), edges, tags=tags)
 
     role_index = {
         "clique": tuple(range(mn, mn + n)),
@@ -273,7 +234,7 @@ def build_web(m: int, n: int) -> LabeledFamily:
     for a in range(1, m):
         role_index[f"layer_{a}"] = tuple(range(a * n, (a + 1) * n))
     role_index["cycle_subdivision"] = tuple(range(sub_base, g.n))
-    return _seal(g, labels, k, role_index, params, f"web({m},{n})")
+    return _seal(g, labels, k, role_index, f"web({m},{n})")
 
 
 def build_cocktail(n: int, t: int, r: int) -> LabeledFamily:
@@ -282,22 +243,24 @@ def build_cocktail(n: int, t: int, r: int) -> LabeledFamily:
     Numbering: core part j occupies j*n..(j+1)*n-1 (part-major), followed by
     pendant blocks of size r per core vertex in core order, so the pendants
     of part j are n*t + j*n*r .. n*t + (j+1)*n*r - 1.  The labeling is the
-    pendant scheme of ``_pendant_labels``, k = ceil((t+n+r-1)/(n+r)).
+    pendant scheme of ``_pendant_corona``, k = ceil((t+n+r-1)/(n+r)).
     """
-    params = CocktailParams(n, t, r)
-    k, labels = _pendant_labels(n, t, r)
-    graph = corona(complete_multipartite(n, t), complement(complete_graph(r)))
+    if n < 1 or r < 1:
+        raise ValueError(f"cocktail family requires n >= 1 and r >= 1, got n={n}, r={r}")
+    if t < 2:
+        raise ValueError(f"cocktail family requires t >= 2 parts, got t={t}")
+    k, labels, edges = _pendant_corona(n, t, r)
     nt, block = n * t, n * r
 
     tags = [f"part:{j + 1}" for j in range(t) for _ in range(n)]
     tags += ["pendant"] * (nt * r)
-    graph = graph.with_tags(tags)
+    graph = Graph(nt + nt * r, edges, tags=tags)
     role_index = {f"part_{j + 1}": tuple(range(j * n, (j + 1) * n)) for j in range(t)}
     for j in range(t):
         role_index[f"part_{j + 1}_pendants"] = tuple(
             range(nt + j * block, nt + (j + 1) * block)
         )
-    return _seal(graph, labels, k, role_index, params, f"cocktail({n},{t},{r})")
+    return _seal(graph, labels, k, role_index, f"cocktail({n},{t},{r})")
 
 
 def family_dsum_table(family: LabeledFamily) -> list[tuple[str, int, int]]:

@@ -35,7 +35,10 @@ class Labeling:
             bad = next(x for x in labels if x < 1)
             raise ValueError(f"labels must be positive integers, got {bad}")
         top = max(labels) if labels else 1
-        k_max = top if k_max is None else int(k_max)
+        try:
+            k_max = top if k_max is None else index(k_max)
+        except TypeError:
+            raise ValueError(f"label budget k_max must be an integer, got {k_max!r}") from None
         if k_max < 1:
             raise ValueError("label budget k_max must be >= 1")
         if top > k_max:

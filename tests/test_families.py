@@ -1,15 +1,20 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dlucky import (
     ConstructionError,
+    Graph,
     build_cocktail,
     build_corona,
     build_web,
+    cartesian_product,
     complete_graph,
+    complete_multipartite,
     complement,
     corona,
+    cycle_graph,
     descending_sum_tuple,
     exact_eta,
     family_dsum_table,
@@ -17,6 +22,8 @@ from dlucky import (
     labeling_to_json,
     lower_bound_thm1,
     max_label,
+    path_graph,
+    subdivide_edges,
     verify,
 )
 from dlucky.families import _seal
@@ -215,8 +222,6 @@ def test_cocktail_figure_instance():
 
 
 def test_cocktail_1_2_1_is_p4():
-    from dlucky import path_graph
-
     fam = build_cocktail(1, 2, 1)
     assert fam.claimed_eta == 2
     # cores 0-1 joined, pendants 2 and 3 hang off them: that is a 4-path
@@ -319,19 +324,70 @@ def test_dsum_table_rows_match_roles():
 
 
 def test_corona_graph_matches_plain_operators():
-    fam = build_corona(4, 3)
-    assert fam.graph == corona(complete_graph(4), complement(complete_graph(3)))
+    # the builders emit their own edge lists; the graph.py operators are the reference
+    for n, t, r in [(1, 2, 1), (1, 4, 3), (1, 9, 1), (2, 3, 1), (2, 6, 1), (2, 9, 1),
+                    (3, 5, 1), (3, 8, 1), (3, 10, 2), (4, 5, 1), (3, 8, 4)]:
+        pendant_corona = corona(complete_multipartite(n, t), complement(complete_graph(r)))
+        assert build_cocktail(n, t, r).graph == pendant_corona
+        if n == 1:
+            assert build_corona(t, r).graph == pendant_corona
+    for m in (3, 4, 5):
+        for n in range(5, 13):
+            cylinder = cartesian_product(path_graph(m), cycle_graph(n))
+            mn = m * n
+            clique = [(mn + u, mn + v) for u, v in complete_graph(n).edges]
+            matching = [(x, mn + x) for x in range(n)]
+            g = Graph(mn + n, list(cylinder.edges) + clique + matching)
+            g = subdivide_edges(g, matching)
+            g = subdivide_edges(g, [(u, v) for u, v in cylinder.edges if u // n == v // n])
+            assert build_web(m, n).graph == g
+
+
+def _degrees(g):
+    return [g.degree(v) for v in range(g.n)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(2, 80), st.integers(1, 6))
+@example(80, 6)
+def test_corona_counts_and_degrees_at_larger_parameters(n, r):
+    g = build_corona(n, r).graph
+    assert (g.n, g.edge_count) == (n + n * r, n * (n - 1) // 2 + n * r)
+    assert _degrees(g) == [n - 1 + r] * n + [1] * (n * r)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(3, 8), st.integers(5, 60))
+@example(8, 60)
+def test_web_counts_and_degrees_at_larger_parameters(m, n):
+    g = build_web(m, n).graph
+    mn = m * n
+    assert (g.n, g.edge_count) == (2 * mn + 2 * n, 3 * mn + n + n * (n - 1) // 2)
+    # a cylinder vertex sees two cycle subdivisions, the layer below (none for the
+    # bottom layer) and the layer above, or u_x for the top layer
+    layers = [4] * (mn - n) + [3] * n
+    assert _degrees(g) == layers + [n] * n + [2] * n + [2] * mn
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(2, 30), st.integers(1, 5))
+@example(5, 30, 5)
+def test_cocktail_counts_and_degrees_at_larger_parameters(n, t, r):
+    g = build_cocktail(n, t, r).graph
+    nt = n * t
+    assert (g.n, g.edge_count) == (nt + nt * r, n * n * t * (t - 1) // 2 + nt * r)
+    assert _degrees(g) == [n * (t - 1) + r] * nt + [1] * (nt * r)
 
 
 def test_seal_raises_construction_error_with_the_report():
     triangle = complete_graph(3)
     # all labels equal on K_3: every edge joins two vertices of d-sum 4
     with pytest.raises(ConstructionError, match="3 conflicting edge") as exc:
-        _seal(triangle, [1, 1, 1], 1, {}, None, "triangle")
+        _seal(triangle, [1, 1, 1], 1, {}, "triangle")
     assert len(exc.value.report.conflicts) == 3
     # d-lucky with labels 1, 2, 3 but claimed with budget 4
     with pytest.raises(ConstructionError, match="max label 3, expected 4") as exc:
-        _seal(triangle, [1, 2, 3], 4, {}, None, "triangle")
+        _seal(triangle, [1, 2, 3], 4, {}, "triangle")
     assert exc.value.report.is_d_lucky
 
 

@@ -33,6 +33,11 @@ def test_labeling_validation():
     with pytest.raises(ValueError, match=r"^labels must be integers, got 2\.0$"):
         Labeling([2.0])
     assert Labeling([True, 2]).labels == (1, 2)
+    # nor is the budget: it is named instead of truncated or parsed
+    with pytest.raises(ValueError, match=r"^label budget k_max must be an integer, got 2\.5$"):
+        Labeling([1], k_max=2.5)
+    with pytest.raises(ValueError, match=r"^label budget k_max must be an integer, got '3'$"):
+        Labeling([1], k_max="3")
 
 
 def test_labeling_names_the_first_bad_label():
