@@ -49,23 +49,17 @@ Theorem 1 gives 2 and the part bound 6, the optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .graph import Graph, is_connected
+from .graph import Graph, _ceil_div, is_connected
 
 
-@dataclass(frozen=True)
-class CliqueRecord:
+class CliqueRecord(NamedTuple):
     """A clique plus the extreme host-graph degrees attained on it."""
 
     vertices: tuple[int, ...]
     delta: int
     max_deg: int
-
-
-def _ceil_div(a: int, b: int) -> int:
-    # b > 0; correct for negative numerators too
-    return -((-a) // b)
 
 
 def _masks(g: Graph) -> list[int]:

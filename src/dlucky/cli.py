@@ -4,6 +4,10 @@ Files are the primary interchange; ``-`` stands for stdin/stdout.  Exit
 codes: 0 success, 1 semantic negative (conflicts found or search budget
 exceeded), 2 usage or format error, or any internal failure (one
 ``error: internal error: ...`` line, no traceback).
+
+Each command imports the modules that only it uses (the builders, the bounds,
+the solver, DOT), so a process compiles no module that its command does not
+run.
 """
 
 from __future__ import annotations
@@ -11,9 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import families
-from .bounds import lower_bound_thm1_witness
-from .dot import to_dot
 from .graph import (
     cartesian_product,
     complete_graph,
@@ -21,7 +22,7 @@ from .graph import (
     cycle_graph,
     path_graph,
 )
-from .labeling import max_label, verify
+from .labeling import ConstructionError, max_label, verify
 from .serialize import (
     _dumps,
     graph_from_json,
@@ -30,7 +31,6 @@ from .serialize import (
     labeling_to_json,
     report_to_json,
 )
-from .solver import DEFAULT_VERTEX_CAP, exact_eta
 
 
 def _read(path: str) -> str:
@@ -57,10 +57,23 @@ GRAPHS = {
     "cylinder": (lambda m, n: cartesian_product(path_graph(m), cycle_graph(n)), ("m", "n")),
     "multipartite": (complete_multipartite, ("n", "t")),
 }
+
+
+def _builder(family: str):
+    """``families.build_<family>``, with the module imported when it is called."""
+
+    def build(*values):
+        from . import families
+
+        return getattr(families, f"build_{family}")(*values)
+
+    return build
+
+
 LABELED = {
-    "corona": (families.build_corona, ("n", "r")),
-    "web": (families.build_web, ("m", "n")),
-    "cocktail": (families.build_cocktail, ("n", "t", "r")),
+    "corona": (_builder("corona"), ("n", "r")),
+    "web": (_builder("web"), ("m", "n")),
+    "cocktail": (_builder("cocktail"), ("n", "t", "r")),
 }
 
 
@@ -108,11 +121,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .bounds import lower_bound_thm1_witness
+    from .parts import lower_bound_hall_witness
+
     graph = graph_from_json(_read(args.graph))
     bound, best = lower_bound_thm1_witness(graph)
     omega = len(best.vertices)
-    from .parts import lower_bound_hall_witness  # compiled only for this command
-
     hall_bound, cert = lower_bound_hall_witness(graph)
     if args.json:
         obj = {
@@ -140,9 +154,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .solver import DEFAULT_VERTEX_CAP, exact_eta
+
     graph = graph_from_json(_read(args.graph))
     max_k = args.max_k if args.max_k is not None else max(1, graph.n)
-    result = exact_eta(graph, max_k=max_k, vertex_cap=args.vertex_cap)
+    cap = args.vertex_cap if args.vertex_cap is not None else DEFAULT_VERTEX_CAP
+    result = exact_eta(graph, max_k=max_k, vertex_cap=cap)
     obj = {
         "eta": result.eta,
         "witness": list(result.witness.labels) if result.witness else None,
@@ -162,6 +179,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    from .dot import to_dot
+
     graph = graph_from_json(_read(args.graph))
     labeling = None
     if args.labeling is not None:
@@ -212,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--max-k", type=int, default=None,
                    help="largest budget to try (default: vertex count)")
-    p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
+    p.add_argument("--vertex-cap", type=int, default=None)  # None: the solver's DEFAULT_VERTEX_CAP
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -233,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError, families.ConstructionError) as exc:
+    except (ValueError, OSError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 means a semantic negative, never a crash

@@ -12,12 +12,14 @@ golden-file material.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-# The builders call only ``Graph``.  The operators stay imported because the
-# benchmark's tracer (perfbench/spans.py) wraps them as attributes of this module.
+# The builders call only ``Graph`` and ``_ceil_div``.  The operators stay imported
+# because the benchmark's tracer (perfbench/spans.py) wraps them as attributes of
+# this module.
 from .graph import (  # noqa: F401
     Graph,
+    _ceil_div,
     cartesian_product,
     complement,
     complete_graph,
@@ -27,20 +29,10 @@ from .graph import (  # noqa: F401
     path_graph,
     subdivide_edges,
 )
-from .bounds import _ceil_div
-from .labeling import ConflictReport, Labeling, max_label, verify
+from .labeling import ConstructionError, Labeling, max_label, verify
 
 
-class ConstructionError(RuntimeError):
-    """A builder produced a labeling that fails verification (a bug trap)."""
-
-    def __init__(self, message: str, report: ConflictReport | None = None):
-        super().__init__(message)
-        self.report = report
-
-
-@dataclass(frozen=True)
-class LabeledFamily:
+class LabeledFamily(NamedTuple):
     """A family instance: graph, verified labeling, and its claimed optimum.
 
     ``role_index`` maps family roles (clique, pendant blocks, layers, parts)
@@ -50,7 +42,7 @@ class LabeledFamily:
     graph: Graph
     labeling: Labeling
     claimed_eta: int
-    role_index: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    role_index: dict[str, tuple[int, ...]]
 
 
 def descending_sum_tuple(total: int, length: int, k: int) -> tuple[int, ...]:

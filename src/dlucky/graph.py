@@ -114,6 +114,11 @@ def _checked_tags(tags, n: int) -> tuple[str, ...] | None:
     return tags
 
 
+def _ceil_div(a: int, b: int) -> int:
+    # b > 0; correct for negative numerators too
+    return -((-a) // b)
+
+
 def complete_graph(n: int) -> Graph:
     """K_n; rejects n = 0."""
     if n < 1:

@@ -8,9 +8,8 @@ never share that sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Graph
 
@@ -67,8 +66,7 @@ class Labeling:
         return f"Labeling({list(self.labels)!r}, k_max={self.k_max})"
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(NamedTuple):
     """Outcome of checking a labeling: offending edges plus all vertex sums.
 
     ``conflicts`` lists each edge whose endpoints share a sum, together with
@@ -82,6 +80,18 @@ class ConflictReport:
     @property
     def is_d_lucky(self) -> bool:
         return not self.conflicts
+
+
+class ConstructionError(RuntimeError):
+    """A builder produced a labeling that fails verification (a bug trap).
+
+    Defined here, next to the report it carries, so that the command line can
+    catch it without importing the builders.
+    """
+
+    def __init__(self, message: str, report: ConflictReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 def _require_total(g: Graph, labeling: Labeling) -> None:

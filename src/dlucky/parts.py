@@ -21,9 +21,10 @@ parts, an interval ``[a, b]`` and ``b - a + 2`` parts whose ranges at
 ``bound - 1`` lie inside it.  :func:`check_hall_bound` re-verifies a
 certificate from the graph alone.
 
-The package does not import this module: Python compiles a module on every
-fresh import when bytecode is not cached, and most solves need no part
-structure.  The solver and ``dlucky bound`` import it when they use it.
+Like every module of the package, this one is imported only where it is
+used (see :mod:`dlucky`): Python compiles a module on every fresh import
+when bytecode is not cached, and most solves need no part structure.  The
+solver and ``dlucky bound`` import it when they use it.
 """
 
 from __future__ import annotations

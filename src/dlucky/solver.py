@@ -116,8 +116,8 @@ graphs whose states seldom repeat; 6 keeps most of the saving.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import _search
 from .bounds import enumerate_maximal_cliques
@@ -139,8 +139,7 @@ def _kernel(_ignored=None):
     return _search
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Exact search outcome: the minimum budget with a witness, or exhaustion.
 
     ``eta is None`` means every budget up to ``k_tried`` was proved

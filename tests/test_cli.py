@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import dlucky
-from dlucky import build_cocktail, cli, graph_from_json, labeling_from_json
+from dlucky import ConflictReport, build_cocktail, cli, graph_from_json, labeling_from_json
 from dlucky.parts import HallCertificate, check_hall_bound
 from dlucky.cli import main
 
@@ -296,6 +296,20 @@ def test_internal_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, err
     assert code == 2 and stdout == ""
     assert err.startswith("error: internal error: " + type(error).__name__)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_construction_error_exits_2_with_its_message(capsys, monkeypatch):
+    # a builder whose labeling fails its own check raises ConstructionError
+    def failing_verify(g, labeling):
+        return ConflictReport(conflicts=(((0, 1), 5),), d_sums=(5,) * g.n)
+
+    monkeypatch.setattr(dlucky.families, "verify", failing_verify)
+    code, stdout, err = run(capsys, "label", "corona", "--n", "3", "--r", "1", "-o", "-")
+    assert code == 2 and stdout == ""
+    assert err == (
+        "error: corona(3,1) labeling failed verification with 1 conflicting edge(s): "
+        "(0, 1) -> 5\n"
+    )
 
 
 def test_keyboard_interrupt_is_not_swallowed(tmp_path, capsys, monkeypatch):
