@@ -1,26 +1,24 @@
 #!/usr/bin/env python3
-"""The dlucky command line end to end: each command's child wall time and modules.
+"""The dlucky command line end to end: each command's child wall time.
 
 Run from the root of a source checkout::
 
     python3 benchmarks/bench_cli.py
 
-and it writes ``benchmarks/BENCH_13.json`` (``--out`` names another file).
-The children import ``dlucky`` from this checkout's ``src/``.  The inputs
-are those of the benchmark's cli workload: ``web(5,100)`` and
-``cocktail(2,14,1)`` through gen, label, verify, bound and export-dot, and
-``dlucky solve --json`` on a ``corona(8,1)`` file.  For each command it
-records the median wall milliseconds of ``RUNS`` child processes
-``python -m dlucky.cli ...`` (the commands take turns, so drift spreads over
-all of them), the ``dlucky`` modules one more child holds after the command
-has run, and whether that child imported ``dataclasses``.  Two baselines
-are recorded the same way: a bare ``python -c pass`` and ``python -c
-"import dlucky"``.
+and it writes ``benchmarks/BENCH_13.json``.  The children import ``dlucky``
+from this checkout's ``src/``.  The inputs are those of the benchmark's cli
+workload: ``web(5,100)`` and ``cocktail(2,14,1)`` through gen, label,
+verify, bound and export-dot, and ``dlucky solve --json`` on a
+``corona(8,1)`` file.  For each command it records the median wall
+milliseconds of ``RUNS`` child processes ``python -m dlucky.cli ...`` (the
+commands take turns, so drift spreads over all of them), with two baselines
+timed the same way: a bare ``python -c pass`` and ``python -c "import
+dlucky"``.  The ``dlucky`` modules each command loads are pinned by
+``tests/test_imports.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -47,13 +45,10 @@ COMMANDS = [
         ["export-dot", f"{family}.json", "--labeling", f"{family}-lab.json", "-o", f"{family}.dot"],
     ]
 ] + [["gen", "corona", "--n", "8", "--r", "1", "-o", "corona.json"], ["solve", "corona.json", "--json"]]
-# after the child's code has run, it lists the modules it holds on stderr
-REPORT = "import sys; print(' '.join(sorted(sys.modules)), file=sys.stderr)"
-RUN_CLI = f"import sys\nfrom dlucky.cli import main\ntry:\n    main(sys.argv[1:])\nfinally:\n    {REPORT}"
 
 
-def child(argv: list[str], cwd: str) -> tuple[float, str]:
-    """Wall milliseconds and stderr of one child; a failed child is an error."""
+def child(argv: list[str], cwd: str) -> float:
+    """Wall milliseconds of one child; a failed child is an error."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
     start = time.perf_counter()
@@ -61,51 +56,31 @@ def child(argv: list[str], cwd: str) -> tuple[float, str]:
     ms = (time.perf_counter() - start) * 1000
     if done.returncode != 0:
         raise RuntimeError(f"{argv[1:]} exited {done.returncode}: {done.stderr.strip()[-200:]}")
-    return ms, done.stderr
-
-
-def modules(code: str, args: list[str], cwd: str, bare: set[str]) -> dict:
-    """The ``dlucky`` modules a child running ``code`` loads, and whether it loads dataclasses."""
-    _, err = child([sys.executable, "-c", code, *args], cwd)
-    added = set(err.splitlines()[-1].split()) - bare
-    return {
-        "modules": sorted(m for m in added if m == "dlucky" or m.startswith("dlucky.")),
-        "dataclasses": "dataclasses" in added,
-    }
+    return ms
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=OUT)
-    out = parser.parse_args().out
     exe = sys.executable
-    # (name, timed argv, (code, args) of the child that lists the modules)
-    runs = [("python -c pass", [exe, "-c", "pass"], None),
-            ("python -c 'import dlucky'", [exe, "-c", "import dlucky"], (f"import dlucky\n{REPORT}", []))]
-    runs += [(" ".join(["dlucky", *cmd]), [exe, "-m", "dlucky.cli", *cmd], (RUN_CLI, cmd))
-             for cmd in COMMANDS]
-    rows = []
+    runs = [("python -c pass", [exe, "-c", "pass"]),
+            ("python -c 'import dlucky'", [exe, "-c", "import dlucky"])]
+    runs += [(" ".join(["dlucky", *cmd]), [exe, "-m", "dlucky.cli", *cmd]) for cmd in COMMANDS]
     with tempfile.TemporaryDirectory() as cwd:
-        for _, argv, _ in runs:  # once untimed, so every input file exists
+        for _, argv in runs:  # once untimed, so every input file exists
             child(argv, cwd)
         times = [[] for _ in runs]
         for _ in range(RUNS):
-            for ms, (_, argv, _) in zip(times, runs):
-                ms.append(child(argv, cwd)[0])
-        bare = set(child([exe, "-c", REPORT], cwd)[1].splitlines()[-1].split())
-        for ms, (name, _, probe) in zip(times, runs):
-            row = {"command": name, "median_ms": round(statistics.median(ms), 2)}
-            if probe is not None:
-                row.update(modules(*probe, cwd, bare))
-            print(json.dumps(row), flush=True)
-            rows.append(row)
+            for ms, (_, argv) in zip(times, runs):
+                ms.append(child(argv, cwd))
+    rows = [{"command": name, "median_ms": round(statistics.median(ms), 2)}
+            for ms, (name, _) in zip(times, runs)]
+    for row in rows:
+        print(json.dumps(row), flush=True)
     result = {
         "what": "each dlucky subcommand as a child process on the cli workload's inputs: median "
-                "wall time and the package modules it loads, against a bare interpreter",
+                "wall time, against a bare interpreter",
         "command": "python3 benchmarks/bench_cli.py",
         "median_ms": f"median wall milliseconds of {RUNS} child processes, the commands in turn",
-        "modules": "dlucky modules held after the command ran (from dlucky.cli.main in the child, "
-                   "so dlucky.cli is listed; python -m runs it as __main__)",
+        "modules": "the dlucky modules each command loads are pinned by tests/test_imports.py",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -114,7 +89,7 @@ def main() -> int:
         },
         "commands": rows,
     }
-    out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    OUT.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

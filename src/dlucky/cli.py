@@ -49,7 +49,8 @@ def _write(path: str, text: str) -> None:
 
 
 # family name -> (function, its flags in argument order); ``gen`` writes every
-# family, ``label`` only those of LABELED, whose builders also label the graph
+# family, ``label`` only those of LABELED (family name -> its flags), whose
+# builders ``families.build_<family>`` also label the graph
 GRAPHS = {
     "complete": (complete_graph, ("n",)),
     "path": (path_graph, ("m",)),
@@ -57,43 +58,39 @@ GRAPHS = {
     "cylinder": (lambda m, n: cartesian_product(path_graph(m), cycle_graph(n)), ("m", "n")),
     "multipartite": (complete_multipartite, ("n", "t")),
 }
-
-
-def _builder(family: str):
-    """``families.build_<family>``, with the module imported when it is called."""
-
-    def build(*values):
-        from . import families
-
-        return getattr(families, f"build_{family}")(*values)
-
-    return build
-
-
 LABELED = {
-    "corona": (_builder("corona"), ("n", "r")),
-    "web": (_builder("web"), ("m", "n")),
-    "cocktail": (_builder("cocktail"), ("n", "t", "r")),
+    "corona": ("n", "r"),
+    "web": ("m", "n"),
+    "cocktail": ("n", "t", "r"),
 }
 
 
-def _build(table, args):
-    """Call the family's function on its flags; the first missing flag is an error."""
-    fn, flags = table[args.family]
+def _build(args):
+    """Call the family's function on its flags; the first missing flag is an error.
+
+    A family of GRAPHS gives its graph, one of LABELED its ``LabeledFamily``;
+    ``families`` is imported only for the latter.
+    """
+    fn, flags = GRAPHS[args.family] if args.family in GRAPHS else (None, LABELED[args.family])
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         raise ValueError(f"family '{args.family}' requires --{flags[values.index(None)]}")
+    if fn is None:
+        from . import families
+
+        fn = getattr(families, "build_" + args.family)
     return fn(*values)
 
 
 def cmd_gen(args) -> int:
-    graph = _build(GRAPHS, args) if args.family in GRAPHS else _build(LABELED, args).graph
+    built = _build(args)
+    graph = built.graph if args.family in LABELED else built
     _write(args.out, graph_to_json(graph))
     return 0
 
 
 def cmd_label(args) -> int:
-    fam = _build(LABELED, args)
+    fam = _build(args)
     _write(args.out, labeling_to_json(fam.labeling))
     if args.roles:
         roles = {role: list(v) for role, v in fam.role_index.items()}

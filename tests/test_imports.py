@@ -129,3 +129,8 @@ def test_records_keep_their_fields_and_repr_and_are_immutable():
             setattr(record, field, None)
     assert not records[1][0].is_d_lucky
     assert records[3][0].exceeded
+    # the records are tuples: they unpack and equal a tuple of the same values
+    clique = records[0][0]
+    assert clique == ((0, 1), 1, 2) and tuple(clique) == clique
+    vertices, delta, max_deg = clique
+    assert (vertices, delta, max_deg) == ((0, 1), 1, 2)
