@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Building, sealing and serializing the family graphs, against the set-and-sort constructor.
+"""Time and memory of building, sealing and serializing the family graphs.
 
 Run from the root of a source checkout::
 
     PYTHONPATH=src python3 benchmarks/bench_build.py
 
-and it writes ``benchmarks/BENCH_9.json``.  The graphs are the six of the
+and it writes ``benchmarks/BENCH_14.json``.  The graphs are the six of the
 benchmark's families-large workload.  For each it records the vertex and
 edge counts and the wall seconds, each the least of ``REPEATS`` runs, of:
 the family builder (build and seal), :class:`dlucky.Graph` on the final
@@ -15,19 +15,28 @@ pairs, then ``sorted``) on the same list, :func:`dlucky.verify` of the family's
 labeling, and the graph's JSON round trip.  It checks that the constructor
 gives the edges and adjacency of the former definition, and that the round
 trip gives the graph back.
+
+Memory is read with :mod:`tracemalloc` in separate, untimed calls: the MB
+the family holds after its builder returns and the peak MB during the
+build; the bytes per edge that :class:`dlucky.Graph` allocates on that
+edge list above what the finished graph holds (its transient peak); and
+the number of distinct int objects among the edge endpoints (at best one
+per vertex).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
 import time
+import tracemalloc
 from pathlib import Path
 
 import dlucky
 
-OUT = Path(__file__).resolve().parent / "BENCH_9.json"
+OUT = Path(__file__).resolve().parent / "BENCH_14.json"
 REPEATS = 3
 GRAPHS = [
     ("web", (5, 200)), ("web", (20, 100)), ("corona", (500, 3)),
@@ -43,6 +52,17 @@ def least_seconds(fn, *args):
         result = fn(*args)
         best = min(best, time.perf_counter() - start)
     return result, best
+
+
+def traced(fn, *args):
+    """Traced bytes ``(held, peak)`` of ``fn(*args)``: held while its result is alive, and at its peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # noqa: F841  (alive while the memory is read)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 def set_and_sort(n, edges):
@@ -82,6 +102,8 @@ def measure(family: str, params: tuple) -> dict:
     back, json_s = least_seconds(round_trip, g)
     if (back.n, back.edges, back.tags) != (g.n, g.edges, g.tags):
         raise AssertionError(f"{what}: the JSON round trip changed the graph")
+    build_held, build_peak = traced(getattr(dlucky, f"build_{family}"), *params)
+    graph_held, graph_peak = traced(dlucky.Graph, g.n, edges)
     return {
         "graph": what,
         "vertices": g.n,
@@ -91,6 +113,10 @@ def measure(family: str, params: tuple) -> dict:
         "set_and_sort_s": round(reference_s, 6),
         "verify_s": round(verify_s, 6),
         "json_round_trip_s": round(json_s, 6),
+        "build_held_mb": round(build_held / 2**20, 2),
+        "build_peak_mb": round(build_peak / 2**20, 2),
+        "graph_transient_bytes_per_edge": round((graph_peak - graph_held) / g.edge_count, 2),
+        "endpoint_ints": len({id(x) for edge in g.edges for x in edge}),
     }
 
 
@@ -102,9 +128,12 @@ def main() -> int:
         rows.append(row)
     result = {
         "what": "family build and seal, Graph on the final edge list against the former "
-                "set-and-sort definition, verify, and the graph JSON round trip",
+                "set-and-sort definition, verify, and the graph JSON round trip; the "
+                "build's memory, Graph's transient memory and the distinct endpoint ints",
         "command": "PYTHONPATH=src python3 benchmarks/bench_build.py",
         "seconds": f"wall time, least of {REPEATS} runs",
+        "memory": "tracemalloc, one untimed call each: MB the family holds after the "
+                  "build and its peak during it; Graph's peak above what it holds, per edge",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),

@@ -83,7 +83,9 @@ def _seal(graph, labels, k, role_index, what: str) -> LabeledFamily:
     return LabeledFamily(graph=graph, labeling=labeling, claimed_eta=k, role_index=role_index)
 
 
-def _pendant_corona(n: int, t: int, r: int) -> tuple[int, list[int], list[tuple[int, int]]]:
+def _pendant_corona(
+    n: int, t: int, r: int, ids: list[int]
+) -> tuple[int, list[int], list[tuple[int, int]]]:
     """Budget k, labels and sorted edges for t parts of size n with r pendants per vertex.
 
     The graph is ``corona(complete_multipartite(n, t), complement(
@@ -92,6 +94,12 @@ def _pendant_corona(n: int, t: int, r: int) -> tuple[int, list[int], list[tuple[
     to every vertex of the later parts and to its pendants nt + u*r ..
     nt + (u+1)*r - 1; both runs ascend, so the edges come out sorted.  A
     corona K_n o rK_1 is the case of singleton parts, ``(1, n, r)``.
+
+    Vertex i is written as ``ids[i]``: every edge endpoint is taken from
+    that table, never computed (a computed int above 256 is a new object
+    each time), so the edges and the ``Graph`` built on them hold one int
+    object per vertex.  A caller gives ``list(range(N))``, or a slice of
+    its own table to place the graph at an offset.
 
     With k = ceil((t+n+r-1)/(n+r)), the first min(k*r - r + 1, t) parts form
     the head group with core label 1 and pendant-walk sums r, r+1, ...; the
@@ -128,10 +136,11 @@ def _pendant_corona(n: int, t: int, r: int) -> tuple[int, list[int], list[tuple[
             pendants = (k,) * r
         labels[j * n : (j + 1) * n] = core
         labels[nt + j * block : nt + (j + 1) * block] = pendants * n
-        later = range((j + 1) * n, nt)
-        for u in range(j * n, (j + 1) * n):
+        later = ids[(j + 1) * n : nt]
+        for i in range(j * n, (j + 1) * n):
+            u = ids[i]
             edges += [(u, v) for v in later]
-            edges += [(u, p) for p in range(nt + u * r, nt + (u + 1) * r)]
+            edges += [(u, p) for p in ids[nt + i * r : nt + (i + 1) * r]]
     return k, labels, edges
 
 
@@ -147,11 +156,12 @@ def build_corona(n: int, r: int) -> LabeledFamily:
         raise ValueError(f"corona family requires clique size n >= 2, got n={n}")
     if r < 1:
         raise ValueError(f"corona family requires r >= 1 pendants, got r={r}")
-    k, labels, edges = _pendant_corona(1, n, r)
-    graph = Graph(n + n * r, edges, tags=["clique"] * n + ["pendant"] * (n * r))
-    role_index = {"clique": tuple(range(n))}
+    ids = list(range(n + n * r))
+    k, labels, edges = _pendant_corona(1, n, r, ids)
+    graph = Graph(len(ids), edges, tags=["clique"] * n + ["pendant"] * (n * r))
+    role_index = {"clique": tuple(ids[:n])}
     for i in range(n):
-        role_index[f"pendants_{i + 1}"] = tuple(range(n + i * r, n + (i + 1) * r))
+        role_index[f"pendants_{i + 1}"] = tuple(ids[n + i * r : n + (i + 1) * r])
     return _seal(graph, labels, k, role_index, f"corona({n},{r})")
 
 
@@ -189,17 +199,18 @@ def build_web(m: int, n: int) -> LabeledFamily:
         raise ValueError(f"web family requires n >= 5, got n={n}")
     mn = m * n
     sub_base = mn + 2 * n
-    labels = [0] * (sub_base + mn)
-    k, labels[mn:sub_base], corona_edges = _pendant_corona(1, n, 1)
+    ids = list(range(sub_base + mn))  # every endpoint comes from here: one int per vertex
+    labels = [0] * len(ids)
+    k, labels[mn:sub_base], corona_edges = _pendant_corona(1, n, 1, ids[mn:sub_base])
 
-    edges = [(x, mn + n + x) for x in range(n)]
-    edges += [(v, v + n) for v in range(mn - n)]
+    edges = list(zip(ids[:n], ids[mn + n : sub_base]))
+    edges += zip(ids[: mn - n], ids[n:mn])
     cycle = [(0, 1), (0, n - 1)] + [(x, x + 1) for x in range(1, n - 1)]
     for a in range(m):
-        base, w = a * n, sub_base + a * n
-        for i, (x, y) in enumerate(cycle):
-            edges += ((base + x, w + i), (base + y, w + i))
-    edges += [(mn + u, mn + v) for u, v in corona_edges]
+        row = ids[a * n : (a + 1) * n]
+        for (x, y), w in zip(cycle, ids[sub_base + a * n : sub_base + (a + 1) * n]):
+            edges += ((row[x], w), (row[y], w))
+    edges += corona_edges
 
     for a in range(m):
         layer = _web_layer_label(a, m)
@@ -219,13 +230,13 @@ def build_web(m: int, n: int) -> LabeledFamily:
     g = Graph(len(labels), edges, tags=tags)
 
     role_index = {
-        "clique": tuple(range(mn, mn + n)),
-        "match_subdivision": tuple(range(mn + n, sub_base)),
-        "top_layer": tuple(range(n)),
+        "clique": tuple(ids[mn : mn + n]),
+        "match_subdivision": tuple(ids[mn + n : sub_base]),
+        "top_layer": tuple(ids[:n]),
     }
     for a in range(1, m):
-        role_index[f"layer_{a}"] = tuple(range(a * n, (a + 1) * n))
-    role_index["cycle_subdivision"] = tuple(range(sub_base, g.n))
+        role_index[f"layer_{a}"] = tuple(ids[a * n : (a + 1) * n])
+    role_index["cycle_subdivision"] = tuple(ids[sub_base:])
     return _seal(g, labels, k, role_index, f"web({m},{n})")
 
 
@@ -241,17 +252,16 @@ def build_cocktail(n: int, t: int, r: int) -> LabeledFamily:
         raise ValueError(f"cocktail family requires n >= 1 and r >= 1, got n={n}, r={r}")
     if t < 2:
         raise ValueError(f"cocktail family requires t >= 2 parts, got t={t}")
-    k, labels, edges = _pendant_corona(n, t, r)
     nt, block = n * t, n * r
+    ids = list(range(nt + nt * r))
+    k, labels, edges = _pendant_corona(n, t, r, ids)
 
     tags = [f"part:{j + 1}" for j in range(t) for _ in range(n)]
     tags += ["pendant"] * (nt * r)
-    graph = Graph(nt + nt * r, edges, tags=tags)
-    role_index = {f"part_{j + 1}": tuple(range(j * n, (j + 1) * n)) for j in range(t)}
+    graph = Graph(len(ids), edges, tags=tags)
+    role_index = {f"part_{j + 1}": tuple(ids[j * n : (j + 1) * n]) for j in range(t)}
     for j in range(t):
-        role_index[f"part_{j + 1}_pendants"] = tuple(
-            range(nt + j * block, nt + (j + 1) * block)
-        )
+        role_index[f"part_{j + 1}_pendants"] = tuple(ids[nt + j * block : nt + (j + 1) * block])
     return _seal(graph, labels, k, role_index, f"cocktail({n},{t},{r})")
 
 

@@ -29,6 +29,14 @@ class Graph:
     are then exactly the equal neighbors.  No set of pairs is built: it
     would hash every pair, hold a second copy of them, and hand the sort an
     order with the runs lost.
+
+    Memory: an input pair that is already an ordered tuple is kept as it
+    is, so the edges and the neighbor tuples hold the caller's int objects
+    (the builders make one per vertex).  Each array has one live copy at a
+    time: the pair list is dropped once the edge tuple exists, and the
+    neighbor lists become tuples one row at a time.  Beyond what the graph
+    keeps, a build on presorted ordered tuples holds about one pointer per
+    edge at its peak.
     """
 
     __slots__ = ("n", "edges", "tags", "_adj")
@@ -54,12 +62,15 @@ class Graph:
             normalized = dict.fromkeys(normalized)
         self.n = n
         self.edges = tuple(normalized)
+        del normalized
         # walking the sorted edges appends every neighbor list in increasing order
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(map(tuple, adj))
+        for u, row in enumerate(adj):  # one row is held twice at a time, not all of them
+            adj[u] = tuple(row)
+        self._adj = tuple(adj)
         self.tags = _checked_tags(tags, n)
 
     @property

@@ -4,12 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every check also asserts, so a plain ``pytest`` run is authoritative.
 """
 
-import itertools
 import random
 import time
 
 from dlucky import (
-    Graph,
     Labeling,
     build_cocktail,
     build_corona,
@@ -20,13 +18,12 @@ from dlucky import (
     exact_eta,
     exists_labeling,
     family_dsum_table,
-    is_connected,
     lower_bound_thm1,
     max_label,
     subdivide_edges,
     verify,
 )
-from conftest import oracle_is_d_lucky, random_graph
+from conftest import connected_graphs, oracle_is_d_lucky, random_graph
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float) -> None:
@@ -120,18 +117,12 @@ def test_criterion_4_cocktail_grid():
 def test_criterion_5_lower_bound_soundness():
     start = time.perf_counter()
     total = violations = 0
-    for nv in range(1, 7):
-        pairs = list(itertools.combinations(range(nv), 2))
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            g = Graph(nv, edges)
-            if not is_connected(g):
-                continue
-            total += 1
-            bound = lower_bound_thm1(g)
-            eta = exact_eta(g, max_k=nv + 2).eta
-            if eta is None or bound > eta:
-                violations += 1
+    for g in connected_graphs(6):
+        total += 1
+        bound = lower_bound_thm1(g)
+        eta = exact_eta(g, max_k=g.n + 2).eta
+        if eta is None or bound > eta:
+            violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0 and total == 27476 and elapsed < 600.0
     _report(

@@ -406,6 +406,18 @@ GOLDEN_GRID = [
 GOLDEN_SHA256 = "996a40325fa9b13002de23b93eff7aef08e1f99f90275fbb9e3c40edefd57391"
 
 
+@pytest.mark.parametrize(
+    "build, args", [(build_corona, (300, 2)), (build_web, (3, 120)), (build_cocktail, (3, 100, 2))]
+)
+def test_family_graphs_share_one_int_object_per_vertex(build, args):
+    g = build(*args).graph
+    endpoints = {id(x): x for edge in g.edges for x in edge}
+    assert len(endpoints) <= g.n
+    for u, v in g.edges:
+        assert g._adj[u][g._adj[u].index(v)] is v
+        assert g._adj[v][g._adj[v].index(u)] is u
+
+
 def test_family_output_is_byte_stable():
     digest = hashlib.sha256()
     for build, args in GOLDEN_GRID:

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +73,24 @@ def test_graph_matches_the_set_and_sort_definition(case):
     g = Graph(n, edges)
     assert (g.edges, g._adj) == reference_graph(n, edges)
     assert all(type(e) is tuple for e in g.edges)
+
+
+def test_graph_keeps_one_live_copy_of_its_arrays():
+    # about 400k presorted ordered pairs of shared ints, as the family builders hand over:
+    # beyond what the graph keeps, only the sort's list (one pointer per edge) may be live
+    n = 895
+    ids = list(range(n))
+    edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = Graph(n, edges)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == len(edges) == 400_065
+    assert all(a is b for a, b in zip(g.edges, edges))  # the ordered input tuples are kept
+    assert (peak - held) / len(edges) <= 12.0
 
 
 def test_graph_reports_the_first_bad_edge_in_input_order():
