@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""The exact solver per label budget on the search-hard graphs.
+
+Run from the root of a source checkout::
+
+    PYTHONPATH=src python3 benchmarks/bench_search.py
+
+and it writes ``benchmarks/BENCH_15.json``.  The graphs are the six of the
+benchmark's search-hard workload, built with ``dlucky``'s own constructors.
+For each budget k from 1 to eta it records whether the root checks
+(:func:`dlucky.solver._clique_refutes`) refuted k or the kernel searched it,
+the kernel's nodes and whether it found a labeling, and the least wall
+seconds of ``REPEATS`` kernel calls.  Node counts do not depend on the
+machine, so they are checked exactly: per graph they must sum to
+``exact_eta``'s ``nodes_explored`` and to ``NODES``, and the first labeling
+found must verify.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import time
+from pathlib import Path
+
+import dlucky
+from dlucky import _search
+from dlucky.bounds import enumerate_maximal_cliques
+from dlucky.solver import _clique_refutes, _prepare, _root_structures
+
+OUT = Path(__file__).resolve().parent / "BENCH_15.json"
+REPEATS = 5
+GRAPHS = {
+    "K_8": lambda: dlucky.complete_graph(8),
+    "corona(9,1)": lambda: dlucky.build_corona(9, 1).graph,
+    "corona(7,2)": lambda: dlucky.build_corona(7, 2).graph,
+    "cocktail(2,6,1)": lambda: dlucky.build_cocktail(2, 6, 1).graph,
+    "prism(11)": lambda: dlucky.cartesian_product(dlucky.path_graph(2), dlucky.cycle_graph(11)),
+    "prism(13)": lambda: dlucky.cartesian_product(dlucky.path_graph(2), dlucky.cycle_graph(13)),
+}
+# search nodes of exact_eta(g, max_k=n+2) on each graph; 137,106 per search-hard pass
+NODES = {"K_8": 36, "corona(9,1)": 38, "corona(7,2)": 34, "cocktail(2,6,1)": 39,
+         "prism(11)": 59291, "prism(13)": 77668}
+
+
+def least_seconds(fn, *args):
+    """The result of ``fn(*args)`` and the least wall seconds of ``REPEATS`` calls."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def measure(name: str) -> list[dict]:
+    g = GRAPHS[name]()
+    solved = dlucky.exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
+    cliques = enumerate_maximal_cliques(g, min_size=3)
+    structures = _root_structures(g, cliques)
+    steps, slots = _prepare(g, cliques, structures)
+    rows = []
+    for k in range(1, solved.eta + 1):
+        row = {"graph": name, "vertices": g.n, "edges": g.edge_count, "k": k}
+        if _clique_refutes(structures, k):
+            row.update(by="root", nodes=0, found=False, kernel_s=None)
+        else:
+            (labels, nodes), seconds = least_seconds(_search.search, k, steps, slots)
+            row.update(by="search", nodes=nodes, found=labels is not None, kernel_s=round(seconds, 6))
+            if labels is not None and not dlucky.verify(g, dlucky.Labeling(labels, k_max=k)).is_d_lucky:
+                raise AssertionError(f"{name}: the labeling found at k = {k} does not verify")
+        rows.append(row)
+    nodes = sum(row["nodes"] for row in rows)
+    if not rows[-1]["found"] or any(row["found"] for row in rows[:-1]):
+        raise AssertionError(f"{name}: a labeling must be found at k = eta = {solved.eta} alone")
+    if nodes != solved.nodes_explored or nodes != NODES[name]:
+        raise AssertionError(f"{name}: {nodes} nodes, exact_eta {solved.nodes_explored}, expected {NODES[name]}")
+    return rows
+
+
+def main() -> int:
+    rows = []
+    for name in GRAPHS:
+        for row in measure(name):
+            print(json.dumps(row), flush=True)
+            rows.append(row)
+    searched = [row for row in rows if row["by"] == "search"]
+    kernel_s = sum(row["kernel_s"] for row in searched)
+    nodes = sum(row["nodes"] for row in searched)
+    result = {
+        "what": "the exact solver per label budget on the search-hard graphs: root refutation "
+                "or kernel search, nodes (exact), whether a labeling was found, kernel seconds",
+        "command": "PYTHONPATH=src python3 benchmarks/bench_search.py",
+        "seconds": f"wall time of dlucky._search.search, least of {REPEATS} runs",
+        "environment": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "total": {"nodes": nodes, "kernel_s": round(kernel_s, 6),
+                  "nodes_per_s": round(nodes / kernel_s)},
+        "budgets": rows,
+    }
+    OUT.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

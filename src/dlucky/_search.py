@@ -7,8 +7,6 @@ kernel's clique test and :mod:`dlucky.parts` all take their ranges from here.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 
 def hall_fails(los, his) -> bool:
     """True when the integer ranges ``[los[i], his[i]]`` admit no distinct values.
@@ -78,6 +76,17 @@ def _shift(lo, hi, own, outside, a, b):
         hi[i] -= b
 
 
+def _hall_refutes(lo, hi, hall, ell, k) -> bool:
+    """Shift the slots for label ``ell``; True, with the shift undone, when a clique fails Hall."""
+    own, outside, cliques = hall
+    _shift(lo, hi, own, outside, ell - 1, k - ell)
+    for get in cliques:
+        if hall_fails(get(lo), get(hi)):
+            _shift(lo, hi, own, outside, 1 - ell, ell - k)
+            return True
+    return False
+
+
 def search(k, steps, slots):
     """Depth-first search for a conflict-free labeling into 1..k.
 
@@ -103,11 +112,19 @@ def search(k, steps, slots):
     hold for this ``k``.
 
     Labels are tried in increasing order, so the first labeling found is the
-    lexicographically smallest in step order.  The loop is iterative: the
-    depth reaches the vertex count, which ``vertex_cap`` lets callers raise
-    past the recursion limit.  Returns ``(labels, nodes)``: the witness
-    indexed by vertex, or None when no labeling exists, and the number of
-    label placements attempted (a placement the Hall test refutes counts).
+    lexicographically smallest in step order.  The labels of a depth are
+    stepped, not placed anew: entering the depth adds 1 to each neighbor
+    sum, a refuted label adds 1 more, and running out subtracts ``k`` once;
+    backtracking into a depth leaves its label on the sums and steps from
+    there.  The Hall ranges move only once a label passes its edge checks.
+    Nodes are counted once per visit to a depth: a visit that starts at
+    label ``start`` counts ``ell - start + 1`` when it keeps label ``ell``
+    and ``k - start + 1`` when it runs out, so each label tried counts one
+    node (a label the Hall test refutes too) and a memo hit counts none.
+    The loop is iterative: the depth reaches the vertex count, which
+    ``vertex_cap`` lets callers raise past the recursion limit.  Returns
+    ``(labels, nodes)``: the witness indexed by vertex, or None when no
+    labeling exists, and the number of label placements attempted.
     """
     n = len(steps)
     sums = [0] * n  # d-lucky sums: degree plus the labels placed on neighbors
@@ -115,54 +132,54 @@ def search(k, steps, slots):
         sums[v] = len(nbrs)
     lo, hi = part_hulls(slots, k)
     labels = [0] * n
-    refuted = defaultdict(set)  # depth -> keys whose subtree holds no labeling
+    # per memoized depth, the keys whose subtree holds no labeling
+    refuted = [None if step[4] is None else set() for step in steps]
     keys = [None] * n  # each memoized depth's key on its latest entry
     nodes = 0
     depth = 0
-    start = 1
+    v, nbrs, checks, hall, live = steps[0]  # depth 0 is entered once, so it needs no key
+    ell = start = 1  # the label on v's neighbor sums, and the first one of this visit
+    for w in nbrs:
+        sums[w] += 1
     while True:
-        v, nbrs, checks, hall, live = steps[depth]
-        if live is not None and start == 1:
-            keys[depth] = key = live(sums)
-            if key in refuted[depth]:
-                start = k + 1  # the same state failed before: try no label
-        for ell in range(start, k + 1):
-            nodes += 1
+        for u, w in checks:
+            if sums[u] == sums[w]:
+                break
+        else:  # no conflict: keep ell and go deeper unless a clique refutes it
+            if hall is None or not _hall_refutes(lo, hi, hall, ell, k):
+                nodes += ell - start + 1
+                labels[v] = ell
+                if depth == n - 1:
+                    return labels, nodes
+                depth += 1
+                v, nbrs, checks, hall, live = steps[depth]
+                if live is not None:
+                    keys[depth] = live(sums)
+                if live is None or keys[depth] not in refuted[depth]:
+                    ell = start = 1
+                    for w in nbrs:
+                        sums[w] += 1
+                    continue
+                # the same state failed before: place nothing, and the label above fails
+                depth -= 1
+                v, nbrs, checks, hall, live = steps[depth]
+                if hall is not None:
+                    _shift(lo, hi, hall[0], hall[1], 1 - ell, ell - k)
+                start = ell + 1
+        while ell == k:  # every label failed: undo this depth and the label above fails
             for w in nbrs:
-                sums[w] += ell
-            for u, w in checks:
-                if sums[u] == sums[w]:
-                    break
-            else:  # no conflict: keep ell and go deeper unless a clique refutes it
-                if hall is None:
-                    labels[v] = ell
-                    break
-                own, outside, cliques = hall
-                _shift(lo, hi, own, outside, ell - 1, k - ell)
-                for get in cliques:
-                    if hall_fails(get(lo), get(hi)):
-                        break
-                else:
-                    labels[v] = ell
-                    break
-                _shift(lo, hi, own, outside, 1 - ell, ell - k)
-            for w in nbrs:
-                sums[w] -= ell
-        else:  # every label conflicts, or a memo hit tried none: undo the previous depth's label
+                sums[w] -= k
+            nodes += k - start + 1
             if live is not None:
                 refuted[depth].add(keys[depth])
             if depth == 0:
                 return None, nodes
             depth -= 1
-            v, nbrs, _, hall, _ = steps[depth]
+            v, nbrs, checks, hall, live = steps[depth]
             ell = labels[v]
-            for w in nbrs:
-                sums[w] -= ell
             if hall is not None:
                 _shift(lo, hi, hall[0], hall[1], 1 - ell, ell - k)
             start = ell + 1
-            continue
-        if depth == n - 1:
-            return labels, nodes
-        depth += 1
-        start = 1
+        ell += 1
+        for w in nbrs:
+            sums[w] += 1

@@ -16,11 +16,13 @@ class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
     Edges are normalized to ``(min, max)`` pairs, stored as a sorted tuple;
-    construction rejects self-loops and out-of-range endpoints and collapses
-    duplicates.  ``tags`` is an optional per-vertex role annotation (e.g.
-    ``"clique"``, ``"pendant"``, ``"layer:2"``) used only for export and
-    diagnostics, never by algorithms.  Equality compares vertex count and
-    edge set; tags are ignored.
+    construction rejects self-loops, out-of-range endpoints and endpoints
+    whose type is not exactly ``int`` (bools and floats compare like ints),
+    naming the first bad edge in input order, and collapses duplicates.
+    ``tags`` is an optional per-vertex role annotation (e.g. ``"clique"``,
+    ``"pendant"``, ``"layer:2"``) used only for export and diagnostics,
+    never by algorithms.  Equality compares vertex count and edge set; tags
+    are ignored.
 
     Construction costs O(n + m log m) in the worst case and about O(n + m)
     when the edges arrive as a few sorted runs, as the builders emit them
@@ -48,14 +50,19 @@ class Graph:
         append = normalized.append
         for edge in edges:
             u, v = edge
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if v < u:
+            if type(u) is not int or type(v) is not int:  # bools and floats compare like ints
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
+            if u < v:
+                if u < 0 or v >= n:
+                    raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+                if type(edge) is not tuple:  # an ordered tuple is kept as it is
+                    edge = (u, v)
+            elif v < u:
+                if v < 0 or u >= n:
+                    raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
                 edge = (v, u)
-            elif type(edge) is not tuple:  # an ordered tuple is kept as it is
-                edge = (u, v)
+            else:
+                raise ValueError(f"self-loop at vertex {u}")
             append(edge)
         normalized.sort()
         if any(map(eq, normalized, islice(normalized, 1, None))):

@@ -6,6 +6,7 @@ and never call the code paths they are used to check.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
@@ -141,3 +142,76 @@ def connected_graphs(max_n: int) -> tuple[Graph, ...]:
             if is_connected(g):
                 graphs.append(g)
     return tuple(graphs)
+
+
+def reference_search(k, steps, slots):
+    """The search kernel as a per-label loop: each label tried is added to the
+    neighbor sums and, when refuted, subtracted again, and each counts one
+    node.  The kernel must return the same ``(labels, nodes)``."""
+    from dlucky._search import hall_fails, part_hulls
+
+    def shift(lo, hi, own, outside, a, b):
+        for i in own:
+            lo[i] += b
+            hi[i] -= a
+        for i in outside:
+            lo[i] += a
+            hi[i] -= b
+
+    n = len(steps)
+    sums = [0] * n
+    for v, nbrs, _, _, _ in steps:
+        sums[v] = len(nbrs)
+    lo, hi = part_hulls(slots, k)
+    labels = [0] * n
+    refuted = collections.defaultdict(set)
+    keys = [None] * n
+    nodes = 0
+    depth = 0
+    start = 1
+    while True:
+        v, nbrs, checks, hall, live = steps[depth]
+        if live is not None and start == 1:
+            keys[depth] = key = live(sums)
+            if key in refuted[depth]:
+                start = k + 1
+        for ell in range(start, k + 1):
+            nodes += 1
+            for w in nbrs:
+                sums[w] += ell
+            for u, w in checks:
+                if sums[u] == sums[w]:
+                    break
+            else:
+                if hall is None:
+                    labels[v] = ell
+                    break
+                own, outside, cliques = hall
+                shift(lo, hi, own, outside, ell - 1, k - ell)
+                for get in cliques:
+                    if hall_fails(get(lo), get(hi)):
+                        break
+                else:
+                    labels[v] = ell
+                    break
+                shift(lo, hi, own, outside, 1 - ell, ell - k)
+            for w in nbrs:
+                sums[w] -= ell
+        else:
+            if live is not None:
+                refuted[depth].add(keys[depth])
+            if depth == 0:
+                return None, nodes
+            depth -= 1
+            v, nbrs, _, hall, _ = steps[depth]
+            ell = labels[v]
+            for w in nbrs:
+                sums[w] -= ell
+            if hall is not None:
+                shift(lo, hi, hall[0], hall[1], 1 - ell, ell - k)
+            start = ell + 1
+            continue
+        if depth == n - 1:
+            return labels, nodes
+        depth += 1
+        start = 1

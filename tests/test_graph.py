@@ -100,6 +100,15 @@ def test_graph_reports_the_first_bad_edge_in_input_order():
         Graph(4, [(0, 1), (5, 0), (3, 3), (0, -1)])
     with pytest.raises(ValueError, match=r"^edge \(0, -1\) out of range for 4 vertices$"):
         Graph(4, [[3, 2], [0, -1], [1, 1]])
+    # bools and floats compare like ints, so they would pass the checks above
+    with pytest.raises(ValueError, match=r"^edge \(0, True\) has an endpoint that is not an int$"):
+        Graph(3, [(0, True), (1, 2)])
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\.5\) has an endpoint that is not an int$"):
+        Graph(3, [(0, 1.5)])
+    with pytest.raises(ValueError, match=r"^edge \(2\.0, 2\.0\) has an endpoint that is not an int$"):
+        Graph(4, [(0, 1), (2.0, 2.0), (3, 3)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 3$"):
+        Graph(4, [(0, 1), (3, 3), (False, 2)])
 
 
 def test_adjacency_is_symmetric():

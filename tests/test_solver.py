@@ -17,15 +17,16 @@ from dlucky import (
     solver_backend,
     verify,
 )
-from dlucky import solver
+from dlucky import _search, solver
 from dlucky.bounds import enumerate_maximal_cliques
-from dlucky.solver import _clique_refutes, _root_structures
+from dlucky.solver import _clique_refutes, _prepare, _root_structures
 from conftest import (
     connected_graphs,
     oracle_eta,
     oracle_exists_labeling,
     oracle_first_labeling,
     random_graph,
+    reference_search,
 )
 
 
@@ -139,6 +140,34 @@ def test_search_visit_order_is_pinned():
         res = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
         assert (res.eta, res.nodes_explored, list(res.witness.labels)) == (eta, nodes, witness)
         assert verify(g, res.witness).is_d_lucky
+
+
+def test_search_matches_the_per_label_reference():
+    # the kernel steps each label by 1 and counts nodes once per visit to a
+    # depth; the per-label loop it replaced must give the same labels and
+    # nodes at every budget up to eta.  The random graphs have more than 6
+    # vertices, so some have memo tables; K_6, K_8 minus (6, 7) and
+    # cocktail(2,4,1) take the Hall path, and the prism has memo hits.  On
+    # K_8 minus (6, 7) only k = 6 is run, the one budget the root checks
+    # leave to the search: k = 4 and 5 would take each loop 118,554 nodes
+    rng = random.Random(15)
+    randoms = [random_graph(rng, rng.randint(7, 11), rng.uniform(0.1, 0.4)) for _ in range(60)]
+    k8_minus = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) != (6, 7)])
+    hall = [complete_graph(6), k8_minus, build_cocktail(2, 4, 1).graph]
+    prism = cartesian_product(path_graph(2), cycle_graph(9))
+    memoized = hall_steps = 0
+    for g in list(connected_graphs(5)) + randoms + hall + [prism]:
+        cliques = enumerate_maximal_cliques(g, min_size=3)
+        structures = _root_structures(g, cliques)
+        steps, slots = _prepare(g, cliques, structures)
+        memoized += any(live is not None for *_, live in steps)
+        hall_steps += any(h is not None for _, _, _, h, _ in steps)
+        eta = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n).eta
+        for k in range(1, eta + 1):
+            if g is k8_minus and _clique_refutes(structures, k):
+                continue
+            assert _search.search(k, steps, slots) == reference_search(k, steps, slots), (g, k)
+    assert memoized >= 10 and hall_steps >= 3
 
 
 def test_budget_exhaustion_is_reported():
