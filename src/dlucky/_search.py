@@ -8,16 +8,26 @@ kernel's clique test and :mod:`dlucky.parts` all take their ranges from here.
 from __future__ import annotations
 
 
-def hall_fails(los, his) -> bool:
-    """True when the integer ranges ``[los[i], his[i]]`` admit no distinct values.
+def hall_fails(los, his) -> tuple[int, int] | None:
+    """An interval ``[a, b]`` holding ``b - a + 2`` of the ranges ``[los[i], his[i]]``, or None.
 
-    By Hall's theorem that happens exactly when some interval ``[a, b]``
-    contains more of the ranges than its ``b - a + 1`` values.  The test is
-    the greedy matching that decides it: ranges by increasing high end, each
-    takes the least value of its range that no earlier one took.  ``above``
-    maps each taken value v to some w > v with every value in [v, w) taken;
-    the paths are compressed, so the test is near-linear even when many
-    ranges share a low end (López-Ortiz, Quimper, Tromp and van Beek, 2003).
+    By Hall's theorem the integer ranges admit no distinct values (and the
+    result is not None) exactly when some interval holds more of them than
+    its values.  The test is the greedy matching that decides it: ranges by
+    increasing high end, each takes the least value of its range that no
+    earlier one took.  ``above`` maps each taken value v, and only those, to
+    some w > v with every value in [v, w) taken; the paths are compressed,
+    so the test is near-linear even when many ranges share a low end
+    (López-Ortiz, Quimper, Tromp and van Beek, 2003).
+
+    The witness comes from the first range ``[x, hi]`` whose least free value
+    is above ``hi``: ``b = hi``, and ``a`` walks down from x while ``a - 1``
+    is taken.  Every value in ``[a, hi]`` is taken by an earlier range, whose
+    high end is at most ``hi`` as the ranges come by high end, and whose low
+    end is at least a: else ``a - 1``, free then as now, would have given it
+    a value below a.  So these ``hi - a + 1`` ranges and the failing one lie
+    inside ``[a, hi]``.  When every range is nonempty, ``a <= b``; an empty
+    range can fail with ``a > b``.
     """
     above = {}
     for hi, x in sorted(zip(his, los)):
@@ -25,11 +35,13 @@ def hall_fails(los, his) -> bool:
         while free in above:
             free = above[free]
         if free > hi:
-            return True
+            while x - 1 in above:
+                x -= 1
+            return x, hi
         above[free] = free + 1
         while x != free:
             above[x], x = free + 1, above[x]
-    return False
+    return None
 
 
 def part_hulls(parts, k) -> tuple[list[int], list[int]]:

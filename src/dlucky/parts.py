@@ -16,10 +16,10 @@ and the seed clique alone.  On ``cocktail(n, t, r)`` growing finds the t
 base parts, whose equal ranges pass exactly when ``t <= (k-1)*(n+r) + 1``:
 the claimed optimum ``ceil((t+n+r-1)/(n+r))``.
 
-:func:`lower_bound_hall_witness` returns the bound with a certificate: the
-parts, an interval ``[a, b]`` and ``b - a + 2`` parts whose ranges at
-``bound - 1`` lie inside it.  :func:`check_hall_bound` re-verifies a
-certificate from the graph alone.
+:func:`lower_bound_hall_witness` returns the bound with a certificate read
+off the :func:`hall_fails` call that refuted ``bound - 1``: the parts, its
+interval ``[a, b]`` and ``b - a + 2`` parts whose ranges lie inside it.
+:func:`check_hall_bound` re-verifies a certificate from the graph alone.
 
 Like every module of the package, this one is imported only where it is
 used (see :mod:`dlucky`): Python compiles a module on every fresh import
@@ -40,10 +40,10 @@ class HallCertificate(NamedTuple):
     """Why no labeling into 1..bound-1 exists: see :func:`check_hall_bound`.
 
     ``parts`` are the parts of a complete multipartite subgraph.  When the
-    bound is above 1, ``a <= b`` and the ranges of the ``b - a + 2`` parts
-    indexed by ``overfull`` lie inside ``interval`` = ``[a, b]`` at
-    ``k = bound - 1``: one more than its values.  Otherwise ``interval`` is
-    None and ``overfull`` is empty.
+    bound is above 1, ``interval`` = ``[a, b]``, with ``a <= b``, is named by
+    :func:`hall_fails` on the part ranges at ``k = bound - 1``, and the first
+    ``b - a + 2`` parts whose ranges lie inside it are ``overfull``.
+    Otherwise ``interval`` is None and ``overfull`` is empty.
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -107,39 +107,19 @@ def part_ranges(g: Graph, parts: list[list[int]]) -> list[tuple[int, int, int, i
     return ranges
 
 
-def _overfull(los: list[int], his: list[int]) -> tuple[int, int, list[int]]:
-    """An interval ``[a, b]`` and ``b - a + 2`` ranges inside it; the ranges fail Hall."""
-    by_hi = sorted(range(len(los)), key=lambda i: (his[i], i))
-    for a in sorted(set(los)):
-        inside = []
-        for i in by_hi:
-            if los[i] >= a:
-                inside.append(i)
-                if len(inside) > his[i] - a + 1:
-                    break
-        else:
-            continue
-        # shrink to the ranges' own hull until they exceed it by exactly one
-        while True:
-            a = min(los[i] for i in inside)
-            b = max(his[i] for i in inside)
-            if len(inside) == b - a + 2:
-                return a, b, sorted(inside)
-            inside = inside[: b - a + 2]
-    raise ValueError("the ranges pass Hall's condition")
-
-
-def _least_passing(ranges: list[tuple[int, int, int, int]]) -> int:
-    """The least k at which the part ranges pass Hall's condition."""
-    # every range has at least k values, so k = len(ranges) passes
-    low, high = 1, len(ranges)
+def _least_passing(ranges: list[tuple[int, int, int, int]]) -> tuple[int, tuple[int, int] | None]:
+    """The least k at which the part ranges pass Hall's condition, with the
+    interval :func:`hall_fails` names at ``k - 1`` (None when k is 1)."""
+    # every range has at least k values, so k = len(ranges) passes; the last
+    # failing probe is the one that raised low to its final value, at k - 1
+    low, high, interval = 1, len(ranges), None
     while low < high:
         mid = (low + high) // 2
-        if hall_fails(*part_hulls(ranges, mid)):
-            low = mid + 1
+        if failed := hall_fails(*part_hulls(ranges, mid)):
+            low, interval = mid + 1, failed
         else:
             high = mid
-    return low
+    return low, interval
 
 
 def lower_bound_hall_witness(g: Graph) -> tuple[int, HallCertificate]:
@@ -156,17 +136,19 @@ def lower_bound_hall_witness(g: Graph) -> tuple[int, HallCertificate]:
     seed = _greedy_clique(g)
     parts = grow_parts(g, seed)
     ranges = part_ranges(g, parts)
-    low = _least_passing(ranges)
-    alone = [[v] for v in seed]
+    low, interval = _least_passing(ranges)
     alone_ranges = clique_ranges(g._adj, seed)
-    alone_low = _least_passing(alone_ranges)
+    alone_low, alone_interval = _least_passing(alone_ranges)
     if alone_low > low:
-        parts, ranges, low = alone, alone_ranges, alone_low
+        parts, ranges = [[v] for v in seed], alone_ranges
+        low, interval = alone_low, alone_interval
     frozen = tuple(tuple(p) for p in parts)
-    if low == 1:
+    if interval is None:
         return 1, HallCertificate(frozen, None, ())
-    a, b, over = _overfull(*part_hulls(ranges, low - 1))
-    return low, HallCertificate(frozen, (a, b), tuple(over))
+    a, b = interval
+    los, his = part_hulls(ranges, low - 1)
+    inside = [i for i, (lo, hi) in enumerate(zip(los, his)) if a <= lo and hi <= b]
+    return low, HallCertificate(frozen, interval, tuple(inside[: b - a + 2]))
 
 
 def lower_bound_hall(g: Graph) -> int:
@@ -182,7 +164,8 @@ def check_hall_bound(g: Graph, bound: int, cert: HallCertificate) -> bool:
     ``k = bound - 1`` the range ``[deg(v) - k*|P| + s(v), deg(v) - |P| + k*s(v)]``
     of every vertex v of every part P listed in ``overfull`` lies inside
     ``[a, b]``, with ``b - a + 2`` such parts, one more than the values of
-    ``[a, b]``.  A bound of 1 needs no interval.
+    ``[a, b]``.  A bound of 1 needs no interval.  The interval must be a
+    pair and its ends and the indices exact ints; anything else is False.
     """
     if not isinstance(bound, int) or bound < 1:
         return False
@@ -200,10 +183,10 @@ def check_hall_bound(g: Graph, bound: int, cert: HallCertificate) -> bool:
                 return False
     if bound == 1:
         return cert.interval is None and not cert.overfull
-    if cert.interval is None:
+    if not isinstance(cert.interval, (tuple, list)) or len(cert.interval) != 2:
         return False
     a, b = cert.interval
-    if not (isinstance(a, int) and isinstance(b, int) and a <= b):
+    if not (type(a) is type(b) is int and a <= b and all(type(i) is int for i in cert.overfull)):
         return False
     chosen = set(cert.overfull)
     if len(chosen) != len(cert.overfull) or not chosen <= set(range(len(parts))):

@@ -13,6 +13,7 @@ import dlucky
 from dlucky import (
     Graph,
     build_cocktail,
+    build_corona,
     build_web,
     complete_graph,
     corona,
@@ -23,6 +24,8 @@ from dlucky import (
     lower_bound_cor2,
     lower_bound_thm1,
     lower_bound_thm1_witness,
+    max_label,
+    verify,
 )
 from dlucky._search import clique_ranges, hall_fails, part_hulls
 from dlucky.bounds import _best_clique, _greedy_clique, _masks, _omega
@@ -309,16 +312,31 @@ def test_hall_fails_matches_the_definition():
     for _ in range(3000):
         los = [rng.randint(-3, 6) for _ in range(rng.randint(0, 8))]
         his = [lo + rng.randint(-1, 5) for lo in los]
-        answers.add(hall_fails(los, his))
-        assert hall_fails(los, his) == oracle_hall_fails(los, his), (los, his)
+        witness = hall_fails(los, his)
+        answers.add(witness is not None)
+        assert (witness is not None) == oracle_hall_fails(los, his), (los, his)
+        if witness is not None:
+            # the named interval holds one more range than its values
+            a, b = witness
+            inside = sum(a <= lo and hi <= b for lo, hi in zip(los, his))
+            assert inside >= b - a + 2, (los, his, witness)
+            if all(lo <= hi for lo, hi in zip(los, his)):
+                assert a <= b, (los, his, witness)
     assert answers == {False, True}
 
 
 def test_hall_fails_is_near_linear_when_ranges_share_a_low_end():
     # every range starts at 0: a linear walk over the taken values is quadratic
     start = time.perf_counter()
-    assert not hall_fails([0] * 20000, [19999] * 20000)
-    assert hall_fails([0] * 20001, [19999] * 20001)
+    assert hall_fails([0] * 20000, [19999] * 20000) is None
+    assert hall_fails([0] * 20001, [19999] * 20001) == (0, 19999)
+    # T wide ranges [i, 2T] and two points at T + 5: the points come first by
+    # high end and the second fails at once; a search for the interval that
+    # tries each low end in turn is quadratic here
+    T = 20000
+    los = list(range(T)) + [T + 5] * 2
+    his = [2 * T] * T + [T + 5] * 2
+    assert hall_fails(los, his) == (T + 5, T + 5)
     assert time.perf_counter() - start < 2
 
 
@@ -382,6 +400,27 @@ def test_checker_accepts_every_certificate():
     assert sum(bound > 1 for _, bound, _ in _certified(randoms + cocktails)) > 0
 
 
+def test_family_grid_is_certified():
+    # each family's labeling passes verify, its part bound passes the
+    # checker, and the better bound meets the labeling's max label
+    grid = (
+        [build_corona(n, r) for n in range(2, 16) for r in range(1, 6)]
+        + [build_web(m, n) for m in range(3, 7) for n in range(5, 25)]
+        + [
+            build_cocktail(n, t, r)
+            for n in range(1, 5) for t in range(2, 13) for r in range(1, 4)
+        ]
+    )
+    assert len(grid) == 282
+    for fam in grid:
+        g = fam.graph
+        assert verify(g, fam.labeling).is_d_lucky
+        assert max_label(fam.labeling) == fam.claimed_eta
+        bound, cert = lower_bound_hall_witness(g)
+        assert check_hall_bound(g, bound, cert)
+        assert max(lower_bound_thm1(g), bound) == fam.claimed_eta
+
+
 def test_checker_rejects_tampered_certificates():
     g = build_cocktail(2, 6, 1).graph
     bound, cert = lower_bound_hall_witness(g)
@@ -404,3 +443,7 @@ def test_checker_rejects_tampered_certificates():
     inverted = cert._replace(interval=(5, 3), overfull=())
     assert not check_hall_bound(g, bound, inverted)
     assert not check_hall_bound(g, 100, HallCertificate((), (5, 3), ()))
+    # malformed certificates are rejected, not raised on
+    floats = cert._replace(overfull=tuple(map(float, cert.overfull)))
+    assert not check_hall_bound(g, bound, floats)
+    assert not check_hall_bound(g, bound, cert._replace(interval=(1,)))
