@@ -5,8 +5,10 @@ Run from the root of a source checkout::
 
     PYTHONPATH=src python3 benchmarks/bench_search.py
 
-and it writes ``benchmarks/BENCH_15.json``.  The graphs are the six of the
-benchmark's search-hard workload, built with ``dlucky``'s own constructors.
+and it writes ``benchmarks/BENCH_18.json`` (``BENCH_15.json`` is the record
+from before the complement cut and the symmetric-difference edge checks).
+The graphs are the six of the benchmark's search-hard workload and K_9 minus
+the edge (7, 8), built with ``dlucky``'s own constructors.
 For each budget k from 1 to eta it records whether the root checks
 (:func:`dlucky.solver._clique_refutes`) refuted k or the kernel searched it,
 the kernel's nodes and whether it found a labeling, and the least wall
@@ -27,9 +29,9 @@ from pathlib import Path
 import dlucky
 from dlucky import _search
 from dlucky.bounds import enumerate_maximal_cliques
-from dlucky.solver import _clique_refutes, _prepare, _root_structures
+from dlucky.solver import _clique_refutes, _prepare, _root_structures, _top
 
-OUT = Path(__file__).resolve().parent / "BENCH_15.json"
+OUT = Path(__file__).resolve().parent / "BENCH_18.json"
 REPEATS = 5
 GRAPHS = {
     "K_8": lambda: dlucky.complete_graph(8),
@@ -38,10 +40,13 @@ GRAPHS = {
     "cocktail(2,6,1)": lambda: dlucky.build_cocktail(2, 6, 1).graph,
     "prism(11)": lambda: dlucky.cartesian_product(dlucky.path_graph(2), dlucky.cycle_graph(11)),
     "prism(13)": lambda: dlucky.cartesian_product(dlucky.path_graph(2), dlucky.cycle_graph(13)),
+    "K_9 minus (7,8)": lambda: dlucky.Graph(
+        9, [(u, v) for u in range(9) for v in range(u + 1, 9) if (u, v) != (7, 8)]),
 }
-# search nodes of exact_eta(g, max_k=n+2) on each graph; 137,106 per search-hard pass
+# search nodes of exact_eta(g, max_k=n+2) on each graph; the first six make
+# a search-hard pass, 105,870 nodes
 NODES = {"K_8": 36, "corona(9,1)": 38, "corona(7,2)": 34, "cocktail(2,6,1)": 39,
-         "prism(11)": 59291, "prism(13)": 77668}
+         "prism(11)": 40594, "prism(13)": 65129, "K_9 minus (7,8)": 35}
 
 
 def least_seconds(fn, *args):
@@ -59,14 +64,14 @@ def measure(name: str) -> list[dict]:
     solved = dlucky.exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
     cliques = enumerate_maximal_cliques(g, min_size=3)
     structures = _root_structures(g, cliques)
-    steps, slots = _prepare(g, cliques, structures)
+    steps, slots, regular = _prepare(g, cliques, structures)
     rows = []
     for k in range(1, solved.eta + 1):
         row = {"graph": name, "vertices": g.n, "edges": g.edge_count, "k": k}
         if _clique_refutes(structures, k):
             row.update(by="root", nodes=0, found=False, kernel_s=None)
         else:
-            (labels, nodes), seconds = least_seconds(_search.search, k, steps, slots)
+            (labels, nodes), seconds = least_seconds(_search.search, k, steps, slots, _top(k, regular))
             row.update(by="search", nodes=nodes, found=labels is not None, kernel_s=round(seconds, 6))
             if labels is not None and not dlucky.verify(g, dlucky.Labeling(labels, k_max=k)).is_d_lucky:
                 raise AssertionError(f"{name}: the labeling found at k = {k} does not verify")
@@ -89,8 +94,9 @@ def main() -> int:
     kernel_s = sum(row["kernel_s"] for row in searched)
     nodes = sum(row["nodes"] for row in searched)
     result = {
-        "what": "the exact solver per label budget on the search-hard graphs: root refutation "
-                "or kernel search, nodes (exact), whether a labeling was found, kernel seconds",
+        "what": "the exact solver per label budget on the search-hard graphs and K_9 minus (7,8): "
+                "root refutation or kernel search, nodes (exact), whether a labeling was found, "
+                "kernel seconds",
         "command": "PYTHONPATH=src python3 benchmarks/bench_search.py",
         "seconds": f"wall time of dlucky._search.search, least of {REPEATS} runs",
         "environment": {

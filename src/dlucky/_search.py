@@ -99,7 +99,7 @@ def _hall_refutes(lo, hi, hall, ell, k) -> bool:
     return False
 
 
-def search(k, steps, slots):
+def search(k, steps, slots, top):
     """Depth-first search for a conflict-free labeling into 1..k.
 
     ``steps[d]`` is ``(v, neighbors of v, checks, hall, live)``: the vertex
@@ -133,6 +133,12 @@ def search(k, steps, slots):
     label ``start`` counts ``ell - start + 1`` when it keeps label ``ell``
     and ``k - start + 1`` when it runs out, so each label tried counts one
     node (a label the Hall test refutes too) and a memo hit counts none.
+    Depth 0 tries the labels 1..``top`` only, for a ``top`` of at most
+    ``k``.  It has no edge checks, as an edge is checked no earlier than its
+    later endpoint, and depth 1 has no memo key, as no vertex has its last
+    check at depth 0.  So a label of depth 0 fails only when the Hall test
+    refutes it or depth 1 runs out, and only those two paths test ``top``,
+    not the per-label step.
     The loop is iterative: the depth reaches the vertex count, which
     ``vertex_cap`` lets callers raise past the recursion limit.  Returns
     ``(labels, nodes)``: the witness indexed by vertex, or None when no
@@ -178,20 +184,22 @@ def search(k, steps, slots):
                 if hall is not None:
                     _shift(lo, hi, hall[0], hall[1], 1 - ell, ell - k)
                 start = ell + 1
+            elif depth == 0 and ell == top:  # a clique refutes the last label of depth 0
+                return None, nodes + ell - start + 1
         while ell == k:  # every label failed: undo this depth and the label above fails
             for w in nbrs:
                 sums[w] -= k
             nodes += k - start + 1
             if live is not None:
                 refuted[depth].add(keys[depth])
-            if depth == 0:
-                return None, nodes
             depth -= 1
             v, nbrs, checks, hall, live = steps[depth]
             ell = labels[v]
             if hall is not None:
                 _shift(lo, hi, hall[0], hall[1], 1 - ell, ell - k)
             start = ell + 1
+            if depth == 0 and ell == top:
+                return None, nodes
         ell += 1
         for w in nbrs:
             sums[w] += 1

@@ -164,16 +164,22 @@ def check_hall_bound(g: Graph, bound: int, cert: HallCertificate) -> bool:
     ``k = bound - 1`` the range ``[deg(v) - k*|P| + s(v), deg(v) - |P| + k*s(v)]``
     of every vertex v of every part P listed in ``overfull`` lies inside
     ``[a, b]``, with ``b - a + 2`` such parts, one more than the values of
-    ``[a, b]``.  A bound of 1 needs no interval.  The interval must be a
-    pair and its ends and the indices exact ints; anything else is False.
+    ``[a, b]``.  A bound of 1 needs no interval.  The bound, the vertices,
+    the interval's ends and the indices must be exact ints (not bools), the
+    interval a pair, and the parts and indices iterable; anything else is
+    False.
     """
-    if not isinstance(bound, int) or bound < 1:
+    if type(bound) is not int or bound < 1:
         return False
-    parts = [set(p) for p in cert.parts]
+    try:
+        parts = [set(p) for p in cert.parts]
+        overfull = tuple(cert.overfull)
+    except TypeError:  # not iterable, or a part holds an unhashable item
+        return False
     union = set().union(*parts)
     if not all(parts) or sum(map(len, parts)) != len(union):
         return False
-    if not all(isinstance(v, int) and 0 <= v < g.n for v in union):
+    if not all(type(v) is int and 0 <= v < g.n for v in union):
         return False
     nbrs = {v: set(g.neighbors(v)) for v in union}
     for part in parts:
@@ -182,14 +188,14 @@ def check_hall_bound(g: Graph, bound: int, cert: HallCertificate) -> bool:
             if nbrs[v] & part or not others <= nbrs[v]:
                 return False
     if bound == 1:
-        return cert.interval is None and not cert.overfull
+        return cert.interval is None and not overfull
     if not isinstance(cert.interval, (tuple, list)) or len(cert.interval) != 2:
         return False
     a, b = cert.interval
-    if not (type(a) is type(b) is int and a <= b and all(type(i) is int for i in cert.overfull)):
+    if not (type(a) is type(b) is int and a <= b and all(type(i) is int for i in overfull)):
         return False
-    chosen = set(cert.overfull)
-    if len(chosen) != len(cert.overfull) or not chosen <= set(range(len(parts))):
+    chosen = set(overfull)
+    if len(chosen) != len(overfull) or not chosen <= set(range(len(parts))):
         return False
     if len(chosen) != b - a + 2:
         return False

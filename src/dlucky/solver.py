@@ -4,9 +4,12 @@ Before a label budget k reaches the search, a clique check (Theorem 1's
 pigeonhole argument, see :func:`_search.clique_ranges`) and a part check
 (below) try to refute it outright.  A budget that survives is searched:
 labels are assigned in breadth-first vertex order (from vertex 0, ties by
-index) and checking an edge is deferred until every neighbor of both
-endpoints is labeled; only then are the two endpoint sums final, so earlier
-checks would prune wrongly.  Budgets are tried k = 1, 2, ... so the first
+index) and checking edge {u, v} is deferred until every vertex of
+N(u) Δ N(v) is labeled.  A common neighbor adds its label to both sums, so
+from then on ``sums[u] - sums[v]`` is final, and an earlier check would
+prune wrongly.  On K_8 minus (6, 7) most pairs share every neighbor but each
+other, and checking at the last vertex of N(u) ∪ N(v) instead took 13,437
+nodes against 27.  Budgets are tried k = 1, 2, ... so the first
 success is the exact minimum, and each smaller budget is certified
 infeasible either by the root checks or by exhaustion.
 
@@ -57,10 +60,29 @@ placements but never decide whether a completion exists.  Only subtrees
 without a labeling are skipped, so each budget keeps its outcome and its
 first labeling, and the nodes of the remaining subtrees are visited in the
 same order; a hit counts no node, so ``nodes_explored`` can only fall.
+Checking at N(u) Δ N(v) leaves this argument as it is: a check still
+compares the current sums of two vertices with a check pending, and the
+labels still to come decide it.
+
+The complement cut.  On a regular graph the search's first vertex v0 tries
+only the labels 1..(k + 1) // 2.  The complement ``l'(v) = k + 1 - l(v)`` of
+a labeling into 1..k is one too, with ``d'(u) = (k + 3) deg(u) - d(u)``.
+When the two ends of every edge have equal degrees, d'(u) = d'(v) exactly
+when d(u) = d(v), so l' is d-lucky exactly when l is.  (Equal degrees on
+every edge is regularity on a connected graph; on a disconnected one the
+solver asks for one degree overall, which a set of the degrees decides.)  The first labeling found is the lexicographically
+smallest, so it is at most its complement, and its label on v0 is at most
+``k + 1 - l(v0)``.  The cut therefore keeps every budget's outcome and first
+labeling and only shortens exhausted searches: the k = 2 refutations of
+P_2 x C_11 and P_2 x C_13 fall from 59,291 and 77,668 nodes to 40,594 and
+65,129.  It removes labels of depth 0 only, where the memo keeps no key.
+This is the lex-leader rule (Crawford, Ginsberg, Luks and Roy, KR 1996) for
+interchangeable values (Freuder, AAAI 1991).
 
 Witnesses are the first labeling found, i.e. the lexicographically smallest
 one with respect to the search's vertex order; neither clique check, the part
-check nor the memo removes a labeling, so none of them changes a witness.
+check, the memo nor the complement cut removes the first labeling, so none of
+them changes a witness.
 
 The search tests cliques of at least ``HALL_MIN_SIZE`` = 4 vertices: on a
 triangle the test costs more than the placements it saves.  Over the
@@ -72,7 +94,8 @@ Part structures are grown from the maximal cliques of more than
 ``HALL_MIN_SIZE`` vertices, and only when there are two of them.  Nodes and
 solve times of ``exact_eta(g, n + 2)`` on graphs outside the benchmark,
 least of 3 runs (one run for the slow ones; Python 3.11, shared 2-core
-x86_64, runs differ by up to 30%), with the part check off / grown from
+x86_64, runs differ by up to 30%; edges checked at N(u) ∪ N(v), before the
+symmetric difference), with the part check off / grown from
 cliques of at least 3 vertices / at least 4 / at least 4 with a lone such
 clique grown too::
 
@@ -100,7 +123,8 @@ below and cost up to 40% more time) and where at least ``MEMO_MIN_BELOW`` = 6
 vertices are left to place, so graphs with at most 6 vertices build no
 table.  Solve times of ``exact_eta(g, 6)`` on graphs outside the benchmark,
 in ms, least of 5 runs (Python 3.11, shared 2-core x86_64, runs differ by up
-to 30%), for ``MEMO_MIN_BELOW`` = 1 / 3 / 6 / 8 / memo off::
+to 30%; before the complement cut and the symmetric difference), for
+``MEMO_MIN_BELOW`` = 1 / 3 / 6 / 8 / memo off::
 
     P_2 x C_15                    95    63    76   113  4611
     C_25                         1.8   1.1   1.3   1.7  25.9
@@ -145,9 +169,11 @@ class SolveResult(NamedTuple):
     ``eta is None`` means every budget up to ``k_tried`` was proved
     infeasible.  On success the witness verifies with zero conflicts, and
     minimality is certified at every smaller budget either by the clique
-    check or by an exhausted search.  ``nodes_explored`` counts label
-    placements over all budgets searched; a budget refuted by the clique
-    check adds none.
+    check or by an exhausted search.  On a regular graph a search is
+    exhausted over the labels 1..(k + 1) // 2 on its first vertex: by the complement cut (module docstring) a labeling
+    that starts higher has a complement that starts lower.
+    ``nodes_explored`` counts label placements over all budgets searched; a
+    budget refuted by the clique check adds none.
     """
 
     eta: int | None
@@ -160,27 +186,32 @@ class SolveResult(NamedTuple):
         return self.eta is None
 
 
-def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tuple[tuple, tuple]:
-    """The kernel's steps and t-slots; see :func:`_search.search`.
+def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tuple[tuple, tuple, bool]:
+    """The kernel's steps and t-slots, and whether the complement cut applies.
 
     Per BFS position: the vertex, its neighbors, its edge checks, its Hall
     tables and its memo key (see :func:`_memo_keys`).  Edge {u, v} is checked
-    at the position of the last vertex of N(u) | N(v), where both endpoint
-    sums become final.  Every vertex of every clique in ``cliques`` with at
-    least ``HALL_MIN_SIZE`` vertices gets a t-slot, its part from
-    ``structures``, which :func:`_root_structures` built from ``cliques``
-    and which starts with their ranges, in order; a placement is Hall-tested
-    on the cliques whose slots it moves.
+    at the position of the last vertex of N(u) Δ N(v), where the difference
+    of the two endpoint sums becomes final: the highest bit of the XOR of
+    the two neighbor sets as bitmasks over positions.  The cut applies (see
+    :func:`_top`) when the graph is regular.
+
+    Every vertex of every clique in ``cliques`` with at least
+    ``HALL_MIN_SIZE`` vertices gets a t-slot, its part from ``structures``,
+    which :func:`_root_structures` built from ``cliques`` and which starts
+    with their ranges, in order; a placement is Hall-tested on the cliques
+    whose slots it moves.
     """
     adj = g._adj
     order = bfs_order(g)
-    last = [0] * g.n  # position of each vertex's last neighbor in the order
+    bits = [0] * g.n  # each vertex's neighbors, bit i for the vertex at position i
     for i, v in enumerate(order):
         for w in adj[v]:
-            last[w] = i
+            bits[w] |= 1 << i
     ready: list[list[tuple[int, int]]] = [[] for _ in order]
     for u, v in g.edges:
-        ready[last[u] if last[u] > last[v] else last[v]].append((u, v))
+        # the highest bit of N(u) Δ N(v), which holds u and v, so is never empty
+        ready[(bits[u] ^ bits[v]).bit_length() - 1].append((u, v))
 
     slots: list[tuple[int, int, int, int]] = []
     # vertex -> (its own slots, slots it neighbors from outside, cliques to test)
@@ -201,24 +232,24 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tupl
         clique = itemgetter(*range(first, len(slots)))
         for w in moved:
             hall[w][2].append(clique)
-    memo = _memo_keys(adj, order, ready) if g.n > MEMO_MIN_BELOW else [None] * g.n
+    memo = _memo_keys(bits, ready) if g.n > MEMO_MIN_BELOW else [None] * g.n
     steps = tuple([(v, adj[v], ready[d], hall.get(v), memo[d]) for d, v in enumerate(order)])
-    return steps, tuple(slots)
+    return steps, tuple(slots), len(set(map(len, adj))) == 1
 
 
-def _memo_keys(adj, order, ready) -> list:
+def _memo_keys(bits, ready) -> list:
     """Per depth d, None or an ``itemgetter`` of the sums live at d.
 
     A vertex is live at d when it has an edge check at depth >= d and a
     neighbor placed before d.  Depth d is memoized when at least
     ``MEMO_MIN_BELOW`` vertices are left to place and some vertex had its
-    last edge check at d - 1.
+    last edge check at d - 1.  ``bits`` are :func:`_prepare`'s neighbor
+    bitmasks over positions.
     """
-    n = len(order)
-    first = [n] * n  # position of each vertex's first neighbor in the order
-    for i in range(n - 1, -1, -1):
-        for w in adj[order[i]]:
-            first[w] = i
+    n = len(ready)
+    # position of each vertex's first neighbor in the order, from its lowest
+    # bit; -1 for no neighbor, which leaves the vertex without checks
+    first = [(b & -b).bit_length() - 1 for b in bits]
     final = [-1] * n  # depth of each vertex's last edge check
     for d, checks in enumerate(ready):
         for u, w in checks:
@@ -276,8 +307,14 @@ def _clique_refutes(structures: list, k: int) -> bool:
     return False
 
 
+def _top(k: int, regular: bool) -> int:
+    """The largest label the search tries on its first vertex (the complement cut)."""
+    return (k + 1) // 2 if regular else k
+
+
 def _run(k: int, prepared: tuple) -> tuple[Labeling | None, int]:
-    labels, nodes = _search.search(k, *prepared)
+    steps, slots, regular = prepared
+    labels, nodes = _search.search(k, steps, slots, _top(k, regular))
     return (Labeling(labels, k_max=k) if labels is not None else None), nodes
 
 

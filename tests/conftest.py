@@ -24,6 +24,11 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def k_minus(n: int, *missing) -> Graph:
+    """K_n without the edges in ``missing``, each given as ``(u, v)`` with u < v."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in missing])
+
+
 def oracle_d_sum(g: Graph, labels, u: int) -> int:
     # definition, written independently of the package's sum code
     total = 0
@@ -144,10 +149,11 @@ def connected_graphs(max_n: int) -> tuple[Graph, ...]:
     return tuple(graphs)
 
 
-def reference_search(k, steps, slots):
+def reference_search(k, steps, slots, top):
     """The search kernel as a per-label loop: each label tried is added to the
     neighbor sums and, when refuted, subtracted again, and each counts one
-    node.  The kernel must return the same ``(labels, nodes)``."""
+    node; depth 0 tries the labels 1..top only.  The kernel must return the
+    same ``(labels, nodes)``."""
     from dlucky._search import hall_fails, part_hulls
 
     def shift(lo, hi, own, outside, a, b):
@@ -175,7 +181,7 @@ def reference_search(k, steps, slots):
             keys[depth] = key = live(sums)
             if key in refuted[depth]:
                 start = k + 1
-        for ell in range(start, k + 1):
+        for ell in range(start, (top if depth == 0 else k) + 1):
             nodes += 1
             for w in nbrs:
                 sums[w] += ell

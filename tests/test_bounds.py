@@ -447,3 +447,11 @@ def test_checker_rejects_tampered_certificates():
     floats = cert._replace(overfull=tuple(map(float, cert.overfull)))
     assert not check_hall_bound(g, bound, floats)
     assert not check_hall_bound(g, bound, cert._replace(interval=(1,)))
+    assert not check_hall_bound(g, bound, cert._replace(parts=None))
+    assert not check_hall_bound(g, bound, cert._replace(overfull=None))
+    assert not check_hall_bound(g, bound, cert._replace(parts=(parts[0], 7) + tuple(parts[2:])))
+    assert not check_hall_bound(g, bound, cert._replace(parts=(parts[0], [[0]]) + tuple(parts[2:])))
+    # bools compare like ints, but a bound or a vertex must be an int
+    assert check_hall_bound(complete_graph(1), 1, HallCertificate(((0,),), None, ()))
+    assert not check_hall_bound(complete_graph(1), True, HallCertificate(((0,),), None, ()))
+    assert not check_hall_bound(complete_graph(1), 1, HallCertificate(((False,),), None, ()))

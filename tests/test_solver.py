@@ -1,4 +1,7 @@
+import importlib.util
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +22,14 @@ from dlucky import (
 )
 from dlucky import _search, solver
 from dlucky.bounds import enumerate_maximal_cliques
-from dlucky.solver import _clique_refutes, _prepare, _root_structures
+from dlucky.solver import _clique_refutes, _prepare, _root_structures, _top
 from conftest import (
     connected_graphs,
+    k_minus,
     oracle_eta,
     oracle_exists_labeling,
     oracle_first_labeling,
+    oracle_is_d_lucky,
     random_graph,
     reference_search,
 )
@@ -116,25 +121,32 @@ def test_determinism_same_inputs_same_everything():
 def test_search_visit_order_is_pinned():
     # eta, nodes and witness of exact_eta(g, max_k=n+2, vertex_cap=n): node
     # counts and witnesses change with the order in which labels and vertices
-    # are tried and with the depth at which each edge is checked
+    # are tried and with the depth at which each edge is checked.  C_5, C_15
+    # and the prisms are regular, so their first vertex tries the lower half
+    # of the labels only (62, 1,115, 5,193 and 24,222 nodes without)
     cases = [
         (complete_graph(6), 6, 21, [1, 2, 3, 4, 5, 6]),
-        (cycle_graph(5), 3, 62, [1, 1, 2, 3, 1]),
+        (cycle_graph(5), 3, 37, [1, 1, 2, 3, 1]),
         (build_corona(8, 1).graph, 5, 32,
          [1, 1, 1, 1, 1, 2, 3, 4, 1, 2, 3, 4, 5, 1, 1, 1]),
         (build_cocktail(2, 4, 1).graph, 2, 21,
          [1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 1, 1]),
-        (cartesian_product(path_graph(2), cycle_graph(7)), 3, 5193,
+        (cartesian_product(path_graph(2), cycle_graph(7)), 3, 2616,
          [1, 1, 1, 1, 3, 1, 1, 1, 2, 1, 1, 1, 1, 2]),
-        (cartesian_product(path_graph(2), cycle_graph(9)), 3, 24222,
+        (cartesian_product(path_graph(2), cycle_graph(9)), 3, 14487,
          [1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 2]),
-        (cycle_graph(15), 3, 1115, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
+        (cycle_graph(15), 3, 710, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
         # the part check refutes k = 2 at the root (405 nodes without it)
         (build_cocktail(2, 6, 1).graph, 3, 39,
          [1, 3, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 1, 1, 1, 1, 2, 2, 3, 3, 1, 1, 1, 1]),
-        # K_8 minus (6, 7): parts {0}..{5}, {6, 7} refute k = 5 (131,991 without)
-        (Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) != (6, 7)]),
-         6, 13437, [1, 2, 3, 4, 5, 6, 1, 5]),
+        # K_8 minus (6, 7): parts {0}..{5}, {6, 7} refute k = 5 (131,991 without).
+        # In K_n minus edges, most vertex pairs share every neighbor but each
+        # other, so their edge is checked once both are placed, not once the
+        # last vertex is: 13,437 / 186,823 / 483,448 / 37,061 nodes without
+        (k_minus(8, (6, 7)), 6, 27, [1, 2, 3, 4, 5, 6, 1, 5]),
+        (k_minus(9, (7, 8)), 7, 35, [1, 2, 3, 4, 5, 6, 7, 1, 6]),
+        (k_minus(10, (6, 7), (8, 9)), 6, 34, [1, 2, 3, 4, 5, 6, 1, 5, 1, 6]),
+        (k_minus(10, (4, 5), (6, 7), (8, 9)), 4, 25, [1, 2, 3, 4, 1, 3, 1, 4, 2, 4]),
     ]
     for g, eta, nodes, witness in cases:
         res = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
@@ -145,29 +157,57 @@ def test_search_visit_order_is_pinned():
 def test_search_matches_the_per_label_reference():
     # the kernel steps each label by 1 and counts nodes once per visit to a
     # depth; the per-label loop it replaced must give the same labels and
-    # nodes at every budget up to eta.  The random graphs have more than 6
-    # vertices, so some have memo tables; K_6, K_8 minus (6, 7) and
-    # cocktail(2,4,1) take the Hall path, and the prism has memo hits.  On
-    # K_8 minus (6, 7) only k = 6 is run, the one budget the root checks
-    # leave to the search: k = 4 and 5 would take each loop 118,554 nodes
+    # nodes at every budget up to eta, under the same depth-0 limit.  The
+    # random graphs have more than 6 vertices, so some have memo tables;
+    # K_6, K_8 minus (6, 7) and cocktail(2,4,1) take the Hall path, and the
+    # prism has memo hits and a limit below k at k = 2 and 3
     rng = random.Random(15)
     randoms = [random_graph(rng, rng.randint(7, 11), rng.uniform(0.1, 0.4)) for _ in range(60)]
-    k8_minus = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) != (6, 7)])
-    hall = [complete_graph(6), k8_minus, build_cocktail(2, 4, 1).graph]
+    hall = [complete_graph(6), k_minus(8, (6, 7)), build_cocktail(2, 4, 1).graph]
     prism = cartesian_product(path_graph(2), cycle_graph(9))
-    memoized = hall_steps = 0
+    memoized = hall_steps = capped = 0
     for g in list(connected_graphs(5)) + randoms + hall + [prism]:
         cliques = enumerate_maximal_cliques(g, min_size=3)
-        structures = _root_structures(g, cliques)
-        steps, slots = _prepare(g, cliques, structures)
+        steps, slots, regular = _prepare(g, cliques, _root_structures(g, cliques))
         memoized += any(live is not None for *_, live in steps)
         hall_steps += any(h is not None for _, _, _, h, _ in steps)
         eta = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n).eta
         for k in range(1, eta + 1):
-            if g is k8_minus and _clique_refutes(structures, k):
-                continue
-            assert _search.search(k, steps, slots) == reference_search(k, steps, slots), (g, k)
-    assert memoized >= 10 and hall_steps >= 3
+            top = _top(k, regular)
+            capped += top < k
+            assert _search.search(k, steps, slots, top) == reference_search(k, steps, slots, top), (g, k)
+    assert memoized >= 10 and hall_steps >= 3 and capped >= 3
+
+
+def test_the_complement_of_a_d_lucky_labeling_is_d_lucky_on_regular_graphs():
+    # the complement cut's premise: l'(v) = k + 1 - l(v) gives
+    # d'(u) = (k + 3) deg(u) - d(u), so when the two ends of every edge have
+    # equal degrees, l' is d-lucky exactly when l is
+    regular = [g for g in connected_graphs(6) if len(set(map(g.degree, range(g.n)))) == 1]
+    assert len(regular) == 166
+    prisms = [cartesian_product(path_graph(2), cycle_graph(n)) for n in (3, 4, 5)]
+    cases = [(g, k) for g in regular + [cycle_graph(n) for n in range(7, 10)] for k in (2, 3)]
+    cases += [(g, 2) for g in prisms] + [(prisms[0], 3)]
+    lucky = 0
+    for g, k in cases:
+        nbrs = [[w for e in g.edges if v in e for w in e if w != v] for v in range(g.n)]
+        for labels in itertools.product(range(1, k + 1), repeat=g.n):
+            sums = [len(ws) + sum(labels[w] for w in ws) for ws in nbrs]
+            if all(sums[u] != sums[v] for u, v in g.edges):
+                lucky += 1
+                assert oracle_is_d_lucky(g, [k + 1 - x for x in labels]), (g, labels)
+    assert lucky > 1000
+
+
+def test_the_complement_cut_is_kept_to_regular_graphs():
+    # degrees 5, 1, 4, 5, 4, 5, 3, 5: the least labeling starts at 2 = k, so
+    # cutting the first vertex to the labels up to (k + 1) // 2 = 1 would
+    # refute k = 2 and report 3
+    g = Graph(8, [(0, 1), (0, 3), (0, 5), (0, 6), (0, 7), (2, 3), (2, 4), (2, 5), (2, 7),
+                  (3, 4), (3, 5), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7)])
+    res = exact_eta(g, max_k=g.n + 2)
+    assert (res.eta, list(res.witness.labels)) == (2, [2, 1, 2, 1, 2, 2, 1, 2])
+    assert oracle_first_labeling(g, 2) == (2, [2, 1, 2, 1, 2, 2, 1, 2])
 
 
 def test_budget_exhaustion_is_reported():
@@ -233,10 +273,17 @@ def test_part_structures_are_built_for_two_large_cliques_only():
 
 
 def test_eta_and_witness_match_the_breadth_first_oracle():
-    # the clique checks, at the root and after each placement, may only cut
-    # subtrees without a labeling: eta and the first witness stay those of
-    # plain enumeration in the search's vertex order
-    for g in connected_graphs(5):
+    # the clique checks, at the root and after each placement, and the
+    # complement cut may only cut subtrees without a labeling: eta and the
+    # first witness stay those of plain enumeration in the search's vertex
+    # order.  The cut also runs on disconnected regular graphs
+    disconnected = [
+        Graph(4, [(0, 2), (1, 3)]),
+        Graph(6, [(0, 1), (2, 3), (4, 5)]),
+        Graph(6, [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)]),
+        Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)]),
+    ]
+    for g in list(connected_graphs(5)) + disconnected:
         res = exact_eta(g, max_k=g.n + 2)
         assert (res.eta, list(res.witness.labels)) == oracle_first_labeling(g, g.n + 2)
 
@@ -293,3 +340,16 @@ def test_bad_arguments_rejected():
 def test_witness_respects_budget_flag():
     res = exact_eta(cycle_graph(5), max_k=4)
     assert res.witness.k_max == res.eta
+
+
+def test_bench_search_node_table_matches_the_solver():
+    # benchmarks/bench_search.py checks its runs against NODES; the table
+    # must follow every change to the search, or that script fails
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_search.py"
+    spec = importlib.util.spec_from_file_location("bench_search", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert set(bench.NODES) == set(bench.GRAPHS)
+    for name, build in bench.GRAPHS.items():
+        g = build()
+        assert exact_eta(g, max_k=g.n + 2, vertex_cap=g.n).nodes_explored == bench.NODES[name], name
