@@ -5,14 +5,15 @@ Run from the root of a source checkout::
 
     PYTHONPATH=src python3 benchmarks/bench_build.py
 
-and it writes ``benchmarks/BENCH_14.json``.  The graphs are the six of the
+and it writes ``benchmarks/BENCH_19.json``.  The graphs are the six of the
 benchmark's families-large workload.  For each it records the vertex and
 edge counts and the wall seconds, each the least of ``REPEATS`` runs, of:
 the family builder (build and seal), :class:`dlucky.Graph` on the final
 edge list (sorted already, the sort's best case; the builders hand it a few
 sorted runs), the constructor's former definition (a set of normalized
 pairs, then ``sorted``) on the same list, :func:`dlucky.verify` of the family's
-labeling, and the graph's JSON round trip.  It checks that the constructor
+labeling, the graph's JSON round trip, and the decode alone
+(:func:`dlucky.graph_from_json` on the canonical text).  It checks that the constructor
 gives the edges and adjacency of the former definition, and that the round
 trip gives the graph back.
 
@@ -21,7 +22,8 @@ the family holds after its builder returns and the peak MB during the
 build; the bytes per edge that :class:`dlucky.Graph` allocates on that
 edge list above what the finished graph holds (its transient peak); and
 the number of distinct int objects among the edge endpoints (at best one
-per vertex).
+per vertex); and the same held and peak MB and distinct endpoint ints for
+the graph that the decode returns.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from pathlib import Path
 
 import dlucky
 
-OUT = Path(__file__).resolve().parent / "BENCH_14.json"
+OUT = Path(__file__).resolve().parent / "BENCH_19.json"
 REPEATS = 3
 GRAPHS = [
     ("web", (5, 200)), ("web", (20, 100)), ("corona", (500, 3)),
@@ -83,6 +85,10 @@ def set_and_sort(n, edges):
     return edges, tuple(map(tuple, adj))
 
 
+def endpoint_ints(g):
+    return len({id(x) for edge in g.edges for x in edge})
+
+
 def round_trip(g):
     return dlucky.graph_from_json(dlucky.graph_to_json(g))
 
@@ -102,8 +108,13 @@ def measure(family: str, params: tuple) -> dict:
     back, json_s = least_seconds(round_trip, g)
     if (back.n, back.edges, back.tags) != (g.n, g.edges, g.tags):
         raise AssertionError(f"{what}: the JSON round trip changed the graph")
+    text = dlucky.graph_to_json(g)
+    decoded, decode_s = least_seconds(dlucky.graph_from_json, text)
+    if decoded != g or decoded.tags != g.tags:
+        raise AssertionError(f"{what}: the decode changed the graph")
     build_held, build_peak = traced(getattr(dlucky, f"build_{family}"), *params)
     graph_held, graph_peak = traced(dlucky.Graph, g.n, edges)
+    decode_held, decode_peak = traced(dlucky.graph_from_json, text)
     return {
         "graph": what,
         "vertices": g.n,
@@ -113,10 +124,14 @@ def measure(family: str, params: tuple) -> dict:
         "set_and_sort_s": round(reference_s, 6),
         "verify_s": round(verify_s, 6),
         "json_round_trip_s": round(json_s, 6),
+        "decode_s": round(decode_s, 6),
         "build_held_mb": round(build_held / 2**20, 2),
         "build_peak_mb": round(build_peak / 2**20, 2),
         "graph_transient_bytes_per_edge": round((graph_peak - graph_held) / g.edge_count, 2),
-        "endpoint_ints": len({id(x) for edge in g.edges for x in edge}),
+        "endpoint_ints": endpoint_ints(g),
+        "decode_held_mb": round(decode_held / 2**20, 2),
+        "decode_peak_mb": round(decode_peak / 2**20, 2),
+        "decode_endpoint_ints": endpoint_ints(decoded),
     }
 
 
@@ -128,12 +143,14 @@ def main() -> int:
         rows.append(row)
     result = {
         "what": "family build and seal, Graph on the final edge list against the former "
-                "set-and-sort definition, verify, and the graph JSON round trip; the "
-                "build's memory, Graph's transient memory and the distinct endpoint ints",
+                "set-and-sort definition, verify, the graph JSON round trip and its decode "
+                "alone; the memory of the build and of the decoded graph, Graph's transient "
+                "memory, and the distinct endpoint ints of the built and the decoded graph",
         "command": "PYTHONPATH=src python3 benchmarks/bench_build.py",
         "seconds": f"wall time, least of {REPEATS} runs",
         "memory": "tracemalloc, one untimed call each: MB the family holds after the "
-                  "build and its peak during it; Graph's peak above what it holds, per edge",
+                  "build and its peak during it, the same for the decode of the canonical "
+                  "text; Graph's peak above what it holds, per edge",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),

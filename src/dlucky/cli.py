@@ -33,11 +33,14 @@ from .serialize import (
 )
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read(path: str, what: str) -> str:
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"invalid {what} file: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -103,8 +106,8 @@ def cmd_label(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    graph = graph_from_json(_read(args.graph))
-    labeling = labeling_from_json(_read(args.labeling))
+    graph = graph_from_json(_read(args.graph, "graph"))
+    labeling = labeling_from_json(_read(args.labeling, "labeling"))
     report = verify(graph, labeling)
     if args.json:
         sys.stdout.write(report_to_json(report, labeling))
@@ -121,7 +124,7 @@ def cmd_bound(args) -> int:
     from .bounds import lower_bound_thm1_witness
     from .parts import lower_bound_hall_witness
 
-    graph = graph_from_json(_read(args.graph))
+    graph = graph_from_json(_read(args.graph, "graph"))
     bound, best = lower_bound_thm1_witness(graph)
     omega = len(best.vertices)
     hall_bound, cert = lower_bound_hall_witness(graph)
@@ -153,7 +156,7 @@ def cmd_bound(args) -> int:
 def cmd_solve(args) -> int:
     from .solver import DEFAULT_VERTEX_CAP, exact_eta
 
-    graph = graph_from_json(_read(args.graph))
+    graph = graph_from_json(_read(args.graph, "graph"))
     max_k = args.max_k if args.max_k is not None else max(1, graph.n)
     cap = args.vertex_cap if args.vertex_cap is not None else DEFAULT_VERTEX_CAP
     result = exact_eta(graph, max_k=max_k, vertex_cap=cap)
@@ -178,10 +181,10 @@ def cmd_solve(args) -> int:
 def cmd_export_dot(args) -> int:
     from .dot import to_dot
 
-    graph = graph_from_json(_read(args.graph))
+    graph = graph_from_json(_read(args.graph, "graph"))
     labeling = None
     if args.labeling is not None:
-        labeling = labeling_from_json(_read(args.labeling))
+        labeling = labeling_from_json(_read(args.labeling, "labeling"))
     _write(args.out, to_dot(graph, labeling))
     return 0
 

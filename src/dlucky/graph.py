@@ -16,9 +16,13 @@ class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
     Edges are normalized to ``(min, max)`` pairs, stored as a sorted tuple;
-    construction rejects self-loops, out-of-range endpoints and endpoints
-    whose type is not exactly ``int`` (bools and floats compare like ints),
-    naming the first bad edge in input order, and collapses duplicates.
+    construction rejects a vertex count that is not a non-negative exact
+    ``int``, and rejects an entry that is not a pair, self-loops,
+    out-of-range endpoints and endpoints whose type is not exactly ``int``
+    (bools and floats compare like ints), naming the first bad entry in
+    input order, and collapses duplicates.  These checks are the only ones
+    an edge list gets: ``graph_from_json`` passes its entries here as they
+    are.
     ``tags`` is an optional per-vertex role annotation (e.g. ``"clique"``,
     ``"pendant"``, ``"layer:2"``) used only for export and diagnostics,
     never by algorithms.  Equality compares vertex count and edge set; tags
@@ -44,12 +48,15 @@ class Graph:
     __slots__ = ("n", "edges", "tags", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), tags=None):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if type(n) is not int or n < 0:  # a bool n would be written as true
+            raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
         normalized = []
         append = normalized.append
         for edge in edges:
-            u, v = edge
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge entry {edge!r} is not a pair") from None
             if type(u) is not int or type(v) is not int:  # bools and floats compare like ints
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if u < v:

@@ -5,6 +5,13 @@ ascending, the list sorted lexicographically), and optional ``tags``; the
 labeling form has ``labels`` plus an optional budget ``k``.  Serialization
 is bit-exact canonical (sorted keys, compact separators, trailing newline)
 so emitted files are usable as golden fixtures.
+
+The readers check the document: that it is a JSON object with known keys,
+and the type of each field.  The constructors check the content: ``Graph``
+each edge entry (a pair of in-range, distinct, exact ints) and
+``Labeling`` the labels against the budget.  Each reader re-raises its
+constructor's ``ValueError`` behind the file's prefix, so every error
+names the kind of file it is about.
 """
 
 from __future__ import annotations
@@ -19,12 +26,20 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _loads(text: str, what: str):
-    # a deeply nested document exhausts the decoder's recursion limit
+def _document(text: str, what: str, keys: set[str]) -> dict:
+    """The JSON object of a ``what`` file whose keys all lie in ``keys``."""
+    # a deeply nested document exhausts the decoder's recursion limit, and an
+    # int of over 4,300 digits is refused with a plain ValueError
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid {what} file: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"invalid {what} file: expected a JSON object")
+    unknown = set(obj) - keys
+    if unknown:
+        raise ValueError(f"invalid {what} file: unknown keys {sorted(unknown)}")
+    return obj
 
 
 def graph_to_json(g: Graph) -> str:
@@ -36,27 +51,24 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    obj = _loads(text, "graph")
-    if not isinstance(obj, dict):
-        raise ValueError("invalid graph file: expected a JSON object")
-    unknown = set(obj) - {"n", "edges", "tags"}
-    if unknown:
-        raise ValueError(f"invalid graph file: unknown keys {sorted(unknown)}")
+    obj = _document(text, "graph", {"n", "edges", "tags"})
     n = obj.get("n")
     edges = obj.get("edges", [])
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("invalid graph file: 'n' must be an integer")
+    tags = obj.get("tags")
+    # json.loads makes exact ints, and a bool is not one
+    if type(n) is not int or n < 0:
+        raise ValueError("invalid graph file: 'n' must be a nonnegative integer")
     if not isinstance(edges, list):
         raise ValueError("invalid graph file: 'edges' must be a list")
-    # json.loads makes exact lists and ints, and bools are not exact ints
-    for e in edges:
-        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
-            raise ValueError(f"invalid graph file: bad edge entry {e!r}")
-    tags = obj.get("tags")
-    if tags is not None:
-        if not isinstance(tags, list) or not all(isinstance(s, str) for s in tags):
-            raise ValueError("invalid graph file: 'tags' must be a list of strings")
-    return Graph(n, edges, tags=tags)
+    if tags is not None and (
+        not isinstance(tags, list) or len(tags) != n or not all(isinstance(s, str) for s in tags)
+    ):
+        raise ValueError("invalid graph file: 'tags' must be a list of n strings")
+    # n and tags are valid, so an error from Graph is about an edge entry
+    try:
+        return Graph(n, edges, tags=tags)
+    except ValueError as exc:
+        raise ValueError(f"invalid graph file: bad edge entry: {exc}") from None
 
 
 def labeling_to_json(labeling: Labeling) -> str:
@@ -64,21 +76,18 @@ def labeling_to_json(labeling: Labeling) -> str:
 
 
 def labeling_from_json(text: str) -> Labeling:
-    obj = _loads(text, "labeling")
-    if not isinstance(obj, dict):
-        raise ValueError("invalid labeling file: expected a JSON object")
-    unknown = set(obj) - {"labels", "k"}
-    if unknown:
-        raise ValueError(f"invalid labeling file: unknown keys {sorted(unknown)}")
+    obj = _document(text, "labeling", {"labels", "k"})
     labels = obj.get("labels")
-    if not isinstance(labels, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in labels
-    ):
-        raise ValueError("invalid labeling file: 'labels' must be a list of integers")
     k = obj.get("k")
-    if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
+    # Labeling takes any __index__ int, a bool too; a labeling file may not
+    if not isinstance(labels, list) or not all(type(x) is int for x in labels):
+        raise ValueError("invalid labeling file: 'labels' must be a list of integers")
+    if k is not None and type(k) is not int:
         raise ValueError("invalid labeling file: 'k' must be an integer")
-    return Labeling(labels, k_max=k)
+    try:
+        return Labeling(labels, k_max=k)
+    except ValueError as exc:
+        raise ValueError(f"invalid labeling file: {exc}") from None
 
 
 def report_to_json(report: ConflictReport, labeling: Labeling) -> str:

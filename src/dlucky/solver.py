@@ -318,11 +318,14 @@ def _run(k: int, prepared: tuple) -> tuple[Labeling | None, int]:
     return (Labeling(labels, k_max=k) if labels is not None else None), nodes
 
 
-def _check_search_args(g: Graph, k: int) -> None:
+def _check_search_args(g: Graph, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> None:
+    # the kernel exhausts a depth at ell == k, which never holds for a float k
     if g.n == 0:
         raise ValueError("search requires a nonempty graph")
-    if k < 1:
-        raise ValueError(f"label budget must be >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"label budget must be an int >= 1, got {k!r}")
+    if type(vertex_cap) is not int:
+        raise ValueError(f"vertex cap must be an int, got {vertex_cap!r}")
 
 
 def exists_labeling(g: Graph, k: int) -> Labeling | None:
@@ -344,7 +347,7 @@ def exact_eta(g: Graph, max_k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Sol
     search.  Graphs above ``vertex_cap`` vertices are refused; raise the cap
     explicitly for bigger (slower) runs.
     """
-    _check_search_args(g, max_k)
+    _check_search_args(g, max_k, vertex_cap)
     if g.n > vertex_cap:
         raise ValueError(
             f"graph has {g.n} vertices, above the solver vertex cap of {vertex_cap}"

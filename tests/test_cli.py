@@ -134,6 +134,56 @@ def test_deeply_nested_input_exit_2(tmp_path, capsys):
         assert err.startswith("error: invalid ") and err.count("\n") == 1
 
 
+MALFORMED_GRAPHS = [
+    "not json",
+    "[1,2]",
+    '{"n":2,"edges":[],"weird":1}',
+    '{"n":"three","edges":[]}',
+    '{"n":-1,"edges":[]}',
+    '{"n":true,"edges":[]}',
+    '{"n":2,"edges":{}}',
+    '{"n":2,"edges":[[0,2]]}',
+    '{"n":2,"edges":[[1,1]]}',
+    '{"n":2,"edges":[5]}',
+    '{"n":2,"edges":[null]}',
+    '{"n":2,"edges":[[0,1,2]]}',
+    '{"n":2,"edges":[[true,1]]}',
+    '{"n":2,"edges":["01"]}',
+    '{"n":2,"edges":[],"tags":["a"]}',
+    '{"n":%s,"edges":[]}' % ("1" * 5000),
+    b"\xff\xfe",
+]
+MALFORMED_LABELINGS = [
+    "not json",
+    "[]",
+    '{"labels":[1,2],"x":1}',
+    '{"labels":"ab"}',
+    '{"labels":[true,1]}',
+    '{"labels":[0]}',
+    '{"labels":[1,3],"k":2}',
+    '{"labels":[1,2],"k":0}',
+    '{"labels":[1,2],"k":1.5}',
+    b"\xff\xfe",
+]
+
+
+@pytest.mark.parametrize(
+    "what, text",
+    [("graph", t) for t in MALFORMED_GRAPHS] + [("labeling", t) for t in MALFORMED_LABELINGS],
+    ids=lambda x: x[:30] if isinstance(x, str) else repr(x),
+)
+def test_malformed_files_exit_2_with_one_prefixed_line(tmp_path, capsys, what, text):
+    files = {"graph": tmp_path / "g.json", "labeling": tmp_path / "l.json"}
+    files["graph"].write_text('{"edges":[[0,1]],"n":2}\n')
+    files["labeling"].write_text('{"labels":[1,2]}\n')
+    bad = files[what]
+    bad.write_bytes(text) if isinstance(text, bytes) else bad.write_text(text)
+    code, stdout, err = run(capsys, "verify", str(files["graph"]), str(files["labeling"]))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: invalid {what} file: ") and err.count("\n") == 1
+    assert "internal error" not in err
+
+
 def test_verify_json_report(tmp_path, capsys):
     g = tmp_path / "g.json"
     lab = tmp_path / "l.json"

@@ -111,6 +111,30 @@ def test_graph_reports_the_first_bad_edge_in_input_order():
         Graph(4, [(0, 1), (3, 3), (False, 2)])
 
 
+def test_graph_names_an_entry_that_is_not_a_pair():
+    with pytest.raises(ValueError, match=r"^edge entry 5 is not a pair$"):
+        Graph(2, [5])
+    with pytest.raises(ValueError, match=r"^edge entry None is not a pair$"):
+        Graph(2, [(0, 1), None, (0, 9)])
+    with pytest.raises(ValueError, match=r"^edge entry \[0, 1, 2\] is not a pair$"):
+        Graph(3, [[0, 1, 2], (1, 1)])
+    with pytest.raises(ValueError, match=r"^edge entry \(1,\) is not a pair$"):
+        Graph(3, [(1,)])
+    # a two-character string unpacks, and its characters are not ints
+    with pytest.raises(ValueError, match=r"^edge \('0', '1'\) has an endpoint that is not an int$"):
+        Graph(2, ["01"])
+
+
+def test_graph_requires_an_exact_nonnegative_int_vertex_count():
+    # Graph(True, []) used to keep n=True, which graph_to_json wrote as "n":true
+    for n in (True, 2.5, None, "3", -1):
+        with pytest.raises(ValueError, match=r"^vertex count must be a nonnegative int, got "):
+            Graph(n, [])
+    with pytest.raises(ValueError, match=r"^vertex count must be a nonnegative int, got 2\.0$"):
+        Graph(2.0, [(0, 1)])
+    assert Graph(0).n == 0 and Graph(2, []).edge_count == 0
+
+
 def test_adjacency_is_symmetric():
     rng = random.Random(7)
     g = random_graph(rng, 9, 0.4)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlucky import (
     Graph,
@@ -53,9 +54,56 @@ def test_graph_from_json_validates():
         graph_from_json('{"n":2,"edges":[],"weird":1}')
     with pytest.raises(ValueError):
         graph_from_json('{"n":2,"edges":[],"tags":["only-one"]}')
-    for edges in ("[[true,1]]", "[[0,1.0]]", '["01"]', '[{"a":1}]', '[{"a":1,"b":2}]'):
+    for edges in ("[[true,1]]", "[[0,1.0]]", '["01"]', '[{"a":1}]', '[{"a":1,"b":2}]',
+                  "[5]", "[null]", "[[0,1,2]]"):
         with pytest.raises(ValueError, match="invalid graph file: bad edge entry"):
             graph_from_json('{"n":2,"edges":%s}' % edges)
+
+
+def test_graph_file_errors_carry_the_file_prefix():
+    cases = [
+        ('{"n":-1,"edges":[]}', r"'n' must be a nonnegative integer"),
+        ('{"n":true,"edges":[]}', r"'n' must be a nonnegative integer"),
+        ('{"n":2,"edges":[],"tags":["a"]}', r"'tags' must be a list of n strings"),
+        ('{"n":2,"edges":[],"tags":[1,2]}', r"'tags' must be a list of n strings"),
+        ('{"n":2,"edges":[[0,2]]}', r"bad edge entry: edge \(0, 2\) out of range for 2 vertices"),
+        ('{"n":2,"edges":[[1,1]]}', r"bad edge entry: self-loop at vertex 1"),
+        ('{"n":2,"edges":[5]}', r"bad edge entry: edge entry 5 is not a pair"),
+        # the first bad entry is named, whatever the kind of its fault
+        ('{"n":2,"edges":[[0,2],[0]]}', r"bad edge entry: edge \(0, 2\) out of range"),
+        ('{"n":%s,"edges":[]}' % ("1" * 5000), r"Exceeds the limit"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=r"^invalid graph file: " + message):
+            graph_from_json(text)
+
+
+def old_rule_accepts(entry):
+    """The per-edge rule that graph_from_json once applied before Graph's checks."""
+    return type(entry) is list and len(entry) == 2 and all(type(x) is int for x in entry)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(-1, 4), min_size=2, max_size=2) | json_values, max_size=4))
+def test_graph_from_json_accepts_the_edge_entries_of_the_old_rule(edges):
+    text = json.dumps({"n": 4, "edges": edges})
+    shaped = all(map(old_rule_accepts, edges))
+    in_range = shaped and all(0 <= x < 4 for e in edges for x in e) and all(u != v for u, v in edges)
+    try:
+        g = graph_from_json(text)
+    except ValueError as exc:
+        assert not in_range
+        assert str(exc).startswith("invalid graph file: bad edge entry: ")
+    else:
+        assert in_range
+        assert g == Graph(4, [tuple(e) for e in edges])
 
 
 def test_graph_to_json_writes_the_bytes_of_edge_lists():
@@ -85,6 +133,17 @@ def test_labeling_from_json_validates():
         labeling_from_json('{"labels":[0]}')
     with pytest.raises(ValueError):
         labeling_from_json('{"labels":[1],"extra":true}')
+    # Labeling takes True as 1; a labeling file may not
+    cases = [
+        ('{"labels":[true,2]}', r"'labels' must be a list of integers"),
+        ('{"labels":[1],"k":false}', r"'k' must be an integer"),
+        ('{"labels":[0]}', r"labels must be positive integers, got 0"),
+        ('{"labels":[1,3],"k":2}', r"label 3 exceeds declared budget k_max=2"),
+        ('{"labels":[1],"k":0}', r"label budget k_max must be >= 1"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=r"^invalid labeling file: " + message + "$"):
+            labeling_from_json(text)
 
 
 def test_deeply_nested_files_are_invalid_not_a_crash():

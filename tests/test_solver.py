@@ -337,6 +337,20 @@ def test_bad_arguments_rejected():
         exists_labeling(path_graph(2), 0)
 
 
+def test_budgets_and_the_vertex_cap_must_be_exact_ints():
+    # a float budget never meets the kernel's ell == k exhaustion test, so
+    # the search on C_5 at k = 2.5 used to place the label 3
+    g = cycle_graph(5)
+    for call in (lambda: exists_labeling(g, 2.5), lambda: exact_eta(g, 2.5)):
+        with pytest.raises(ValueError, match=r"^label budget must be an int >= 1, got 2\.5$"):
+            call()
+    with pytest.raises(ValueError, match=r"^label budget must be an int >= 1, got True$"):
+        exact_eta(g, True)
+    with pytest.raises(ValueError, match=r"^vertex cap must be an int, got 16\.0$"):
+        exact_eta(g, 3, vertex_cap=16.0)
+    assert exact_eta(g, 3, vertex_cap=5).eta == exists_labeling(g, 3).k_max == 3
+
+
 def test_witness_respects_budget_flag():
     res = exact_eta(cycle_graph(5), max_k=4)
     assert res.witness.k_max == res.eta
