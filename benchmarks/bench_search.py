@@ -5,17 +5,20 @@ Run from the root of a source checkout::
 
     PYTHONPATH=src python3 benchmarks/bench_search.py
 
-and it writes ``benchmarks/BENCH_18.json`` (``BENCH_15.json`` is the record
-from before the complement cut and the symmetric-difference edge checks).
+and it writes ``benchmarks/BENCH_20.json`` (``BENCH_18.json`` is the record
+from before the memo keyed every depth where an edge check retires, and
+``BENCH_15.json`` from before the complement cut and the symmetric-difference
+edge checks).
 The graphs are the six of the benchmark's search-hard workload and K_9 minus
 the edge (7, 8), built with ``dlucky``'s own constructors.
 For each budget k from 1 to eta it records whether the root checks
 (:func:`dlucky.solver._clique_refutes`) refuted k or the kernel searched it,
 the kernel's nodes and whether it found a labeling, and the least wall
-seconds of ``REPEATS`` kernel calls.  Node counts do not depend on the
-machine, so they are checked exactly: per graph they must sum to
-``exact_eta``'s ``nodes_explored`` and to ``NODES``, and the first labeling
-found must verify.
+seconds of ``REPEATS`` kernel calls; per graph, it records the number of
+depths that carry a memo key in :func:`dlucky.solver._prepare`'s steps.
+Node counts do not depend on the machine, so they are checked exactly: per
+graph they must sum to ``exact_eta``'s ``nodes_explored`` and to ``NODES``,
+and the first labeling found must verify.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dlucky import _search
 from dlucky.bounds import enumerate_maximal_cliques
 from dlucky.solver import _clique_refutes, _prepare, _root_structures, _top
 
-OUT = Path(__file__).resolve().parent / "BENCH_18.json"
+OUT = Path(__file__).resolve().parent / "BENCH_20.json"
 REPEATS = 5
 GRAPHS = {
     "K_8": lambda: dlucky.complete_graph(8),
@@ -44,9 +47,9 @@ GRAPHS = {
         9, [(u, v) for u in range(9) for v in range(u + 1, 9) if (u, v) != (7, 8)]),
 }
 # search nodes of exact_eta(g, max_k=n+2) on each graph; the first six make
-# a search-hard pass, 105,870 nodes
+# a search-hard pass, 59,134 nodes
 NODES = {"K_8": 36, "corona(9,1)": 38, "corona(7,2)": 34, "cocktail(2,6,1)": 39,
-         "prism(11)": 40594, "prism(13)": 65129, "K_9 minus (7,8)": 35}
+         "prism(11)": 21758, "prism(13)": 37229, "K_9 minus (7,8)": 35}
 
 
 def least_seconds(fn, *args):
@@ -59,12 +62,13 @@ def least_seconds(fn, *args):
     return result, best
 
 
-def measure(name: str) -> list[dict]:
+def measure(name: str) -> tuple[list[dict], int]:
     g = GRAPHS[name]()
     solved = dlucky.exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
     cliques = enumerate_maximal_cliques(g, min_size=3)
     structures = _root_structures(g, cliques)
     steps, slots, regular = _prepare(g, cliques, structures)
+    memoized = sum(live is not None for *_, live in steps)
     rows = []
     for k in range(1, solved.eta + 1):
         row = {"graph": name, "vertices": g.n, "edges": g.edge_count, "k": k}
@@ -81,24 +85,28 @@ def measure(name: str) -> list[dict]:
         raise AssertionError(f"{name}: a labeling must be found at k = eta = {solved.eta} alone")
     if nodes != solved.nodes_explored or nodes != NODES[name]:
         raise AssertionError(f"{name}: {nodes} nodes, exact_eta {solved.nodes_explored}, expected {NODES[name]}")
-    return rows
+    return rows, memoized
 
 
 def main() -> int:
     rows = []
+    memoized = {}
     for name in GRAPHS:
-        for row in measure(name):
+        graph_rows, memoized[name] = measure(name)
+        for row in graph_rows:
             print(json.dumps(row), flush=True)
-            rows.append(row)
+        rows.extend(graph_rows)
     searched = [row for row in rows if row["by"] == "search"]
     kernel_s = sum(row["kernel_s"] for row in searched)
     nodes = sum(row["nodes"] for row in searched)
     result = {
         "what": "the exact solver per label budget on the search-hard graphs and K_9 minus (7,8): "
                 "root refutation or kernel search, nodes (exact), whether a labeling was found, "
-                "kernel seconds",
+                "kernel seconds, and the graph's memoized depths",
         "command": "PYTHONPATH=src python3 benchmarks/bench_search.py",
-        "seconds": f"wall time of dlucky._search.search, least of {REPEATS} runs",
+        "seconds": f"wall time of dlucky._search.search, least of {REPEATS} runs, of this "
+                   "tree's kernel only: on a shared machine they compare only within one file, "
+                   "not across BENCH_*.json records",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -106,6 +114,7 @@ def main() -> int:
         },
         "total": {"nodes": nodes, "kernel_s": round(kernel_s, 6),
                   "nodes_per_s": round(nodes / kernel_s)},
+        "memoized_depths": memoized,
         "budgets": rows,
     }
     OUT.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")

@@ -74,8 +74,8 @@ solver asks for one degree overall, which a set of the degrees decides.)  The fi
 smallest, so it is at most its complement, and its label on v0 is at most
 ``k + 1 - l(v0)``.  The cut therefore keeps every budget's outcome and first
 labeling and only shortens exhausted searches: the k = 2 refutations of
-P_2 x C_11 and P_2 x C_13 fall from 59,291 and 77,668 nodes to 40,594 and
-65,129.  It removes labels of depth 0 only, where the memo keeps no key.
+P_2 x C_11 and P_2 x C_13 fall from 31,263 and 47,504 nodes to 21,758 and
+37,229.  It removes labels of depth 0 only, where the memo keeps no key.
 This is the lex-leader rule (Crawford, Ginsberg, Luks and Roy, KR 1996) for
 interchangeable values (Freuder, AAAI 1991).
 
@@ -116,25 +116,32 @@ nodes are saved and ``run_s`` did not rise.
 (The 400 graphs have edge probability 0.4-0.85, seed 7; the 1,500 have
 0.2-0.9, seed 11.)
 
-The memo costs a key per entry and the tables that build it, so it is kept
-to the depths where it can pay: those where some vertex's last check was
-one depth up (memoizing the other depths as well saved no node on the graphs
-below and cost up to 40% more time) and where at least ``MEMO_MIN_BELOW`` = 6
-vertices are left to place, so graphs with at most 6 vertices build no
-table.  Solve times of ``exact_eta(g, 6)`` on graphs outside the benchmark,
-in ms, least of 5 runs (Python 3.11, shared 2-core x86_64, runs differ by up
-to 30%; before the complement cut and the symmetric difference), for
-``MEMO_MIN_BELOW`` = 1 / 3 / 6 / 8 / memo off::
+The memo costs a key per entry and a table per memoized depth.  It keys
+every depth d >= 1, down to the last one, where some vertex had its last
+edge check at d - 1 and some vertex is live.  Keying the depths where no
+check retires as well gave the same 59,134 nodes on a search-hard pass and
+took 67 -> 90 ms (median of 6 interleaved runs).  Graphs with at most
+``MEMO_OFF_UP_TO`` = 6 vertices build no table: on the 27,476 connected
+graphs with up to 6 vertices, tables saved 540 of 284,193 nodes and took
+the solves 1.86 -> 2.29 s (median of 6 interleaved runs).  Nodes and solve
+times of ``exact_eta(g, n + 2)``, ms, median of 15 runs, the two rules
+interleaved in one process (Python 3.11, shared 2-core x86_64), when only
+depths with at least 6 vertices left to place were keyed, as before, and
+now::
 
-    P_2 x C_15                    95    63    76   113  4611
-    C_25                         1.8   1.1   1.3   1.7  25.9
-    GP(9,2), few hits           10.0   8.7   8.7   8.9   7.0
-    GP(11,2), few hits          24.8  21.7  15.9  16.0  12.4
-    1,500 random, 7-9 vertices   267   241   210   209   178
+    P_2 x C_11                   40,594  24.4     21,758  18.2
+    P_2 x C_13                   65,129  36.7     37,229  28.2
+    P_2 x C_15                   83,586  65.4     53,422  53.7
+    C_25                          1,592   1.10     1,112   0.88
+    GP(9,2)                       5,811   3.7      5,811   5.5
+    GP(11,2)                      9,742   6.7      9,734   9.7
+    600 random, 7-9 vertices     34,708   335     34,698   326
 
-A lower gate saves nodes on the prisms and cycles (P_2 x C_15 takes 63,721
-nodes at 1, 93,885 at 6 and 4,777,501 with the memo off) and costs time on
-graphs whose states seldom repeat; 6 keeps most of the saving.
+Eta and witness are the same in both columns.  The deep keys pay where
+states repeat near the bottom, as on the prisms and cycles, and cost time
+where they do not: the four depths they add to GP(9,2) are entered 1,145
+times without a hit.  (The 600 graphs are connected, with edge
+probability 0.2-0.9, seed 11.)
 """
 
 from __future__ import annotations
@@ -150,7 +157,7 @@ from .labeling import Labeling
 
 DEFAULT_VERTEX_CAP = 16
 HALL_MIN_SIZE = 4
-MEMO_MIN_BELOW = 6
+MEMO_OFF_UP_TO = 6
 
 
 def solver_backend() -> str:
@@ -190,7 +197,8 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tupl
     """The kernel's steps and t-slots, and whether the complement cut applies.
 
     Per BFS position: the vertex, its neighbors, its edge checks, its Hall
-    tables and its memo key (see :func:`_memo_keys`).  Edge {u, v} is checked
+    tables and its memo key (see :func:`_memo_keys`; graphs with at most
+    ``MEMO_OFF_UP_TO`` vertices have none).  Edge {u, v} is checked
     at the position of the last vertex of N(u) Δ N(v), where the difference
     of the two endpoint sums becomes final: the highest bit of the XOR of
     the two neighbor sets as bitmasks over positions.  The cut applies (see
@@ -232,7 +240,7 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tupl
         clique = itemgetter(*range(first, len(slots)))
         for w in moved:
             hall[w][2].append(clique)
-    memo = _memo_keys(bits, ready) if g.n > MEMO_MIN_BELOW else [None] * g.n
+    memo = _memo_keys(bits, ready) if g.n > MEMO_OFF_UP_TO else [None] * g.n
     steps = tuple([(v, adj[v], ready[d], hall.get(v), memo[d]) for d, v in enumerate(order)])
     return steps, tuple(slots), len(set(map(len, adj))) == 1
 
@@ -241,10 +249,10 @@ def _memo_keys(bits, ready) -> list:
     """Per depth d, None or an ``itemgetter`` of the sums live at d.
 
     A vertex is live at d when it has an edge check at depth >= d and a
-    neighbor placed before d.  Depth d is memoized when at least
-    ``MEMO_MIN_BELOW`` vertices are left to place and some vertex had its
-    last edge check at d - 1.  ``bits`` are :func:`_prepare`'s neighbor
-    bitmasks over positions.
+    neighbor placed before d.  Depth d >= 1, the last one included, is
+    memoized when some vertex had its last edge check at d - 1 and some
+    vertex is live at d.  ``bits`` are :func:`_prepare`'s neighbor bitmasks
+    over positions.
     """
     n = len(ready)
     # position of each vertex's first neighbor in the order, from its lowest
@@ -256,7 +264,7 @@ def _memo_keys(bits, ready) -> list:
             final[u] = final[w] = d
     retiring = set(final)
     memo: list = [None] * n
-    for d in range(1, n - MEMO_MIN_BELOW + 1):
+    for d in range(1, n):
         live = [x for x in range(n) if first[x] < d <= final[x]]
         if d - 1 in retiring and live:
             memo[d] = itemgetter(*live)

@@ -121,9 +121,10 @@ def test_determinism_same_inputs_same_everything():
 def test_search_visit_order_is_pinned():
     # eta, nodes and witness of exact_eta(g, max_k=n+2, vertex_cap=n): node
     # counts and witnesses change with the order in which labels and vertices
-    # are tried and with the depth at which each edge is checked.  C_5, C_15
-    # and the prisms are regular, so their first vertex tries the lower half
-    # of the labels only (62, 1,115, 5,193 and 24,222 nodes without)
+    # are tried, with the depth at which each edge is checked and with the
+    # depths the memo keys.  C_5, C_15 and the prisms are regular, so their
+    # first vertex tries the lower half of the labels only (62, 635, 4,617
+    # and 15,494 nodes without)
     cases = [
         (complete_graph(6), 6, 21, [1, 2, 3, 4, 5, 6]),
         (cycle_graph(5), 3, 37, [1, 1, 2, 3, 1]),
@@ -131,11 +132,11 @@ def test_search_visit_order_is_pinned():
          [1, 1, 1, 1, 1, 2, 3, 4, 1, 2, 3, 4, 5, 1, 1, 1]),
         (build_cocktail(2, 4, 1).graph, 2, 21,
          [1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 1, 1]),
-        (cartesian_product(path_graph(2), cycle_graph(7)), 3, 2616,
+        (cartesian_product(path_graph(2), cycle_graph(7)), 3, 2480,
          [1, 1, 1, 1, 3, 1, 1, 1, 2, 1, 1, 1, 1, 2]),
-        (cartesian_product(path_graph(2), cycle_graph(9)), 3, 14487,
+        (cartesian_product(path_graph(2), cycle_graph(9)), 3, 9355,
          [1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 2]),
-        (cycle_graph(15), 3, 710, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
+        (cycle_graph(15), 3, 460, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
         # the part check refutes k = 2 at the root (405 nodes without it)
         (build_cocktail(2, 6, 1).graph, 3, 39,
          [1, 3, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 1, 1, 1, 1, 2, 2, 3, 3, 1, 1, 1, 1]),
@@ -289,19 +290,19 @@ def test_eta_and_witness_match_the_breadth_first_oracle():
 
 
 def test_failure_memo_keeps_eta_and_witness_and_never_adds_nodes(monkeypatch):
-    # at its lowest gate the memo runs on graphs this small too, and it may
-    # only skip subtrees without a labeling.  No search state repeats on the
-    # graphs with up to 5 vertices; on a cycle or prism with one pendant
-    # vertex states repeat before the first labeling is found, and there the
-    # reference is the search with the memo off
+    # with no size gate the memo builds tables on graphs this small too, and
+    # it may only skip subtrees without a labeling.  No search state repeats
+    # on the graphs with up to 5 vertices; on a cycle or prism with one
+    # pendant vertex states repeat before the first labeling is found, and
+    # there the reference is the search with the memo off
     small = list(connected_graphs(5))
     bases = [cycle_graph(11), cycle_graph(13), cartesian_product(path_graph(2), cycle_graph(7))]
     repeating = [
         Graph(base.n + 1, list(base.edges) + [(j, base.n)]) for base in bases for j in range(base.n)
     ]
-    monkeypatch.setattr(solver, "MEMO_MIN_BELOW", 10**9)
+    monkeypatch.setattr(solver, "MEMO_OFF_UP_TO", 10**9)
     memo_off = [exact_eta(g, max_k=g.n + 2, vertex_cap=g.n) for g in small + repeating]
-    monkeypatch.setattr(solver, "MEMO_MIN_BELOW", 1)
+    monkeypatch.setattr(solver, "MEMO_OFF_UP_TO", 0)
     saved = 0
     for g, off in zip(small + repeating, memo_off):
         res = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
@@ -315,10 +316,50 @@ def test_failure_memo_keeps_eta_and_witness_and_never_adds_nodes(monkeypatch):
 
 def test_exists_labeling_on_a_prism_with_the_memo():
     g = cartesian_product(path_graph(2), cycle_graph(9))
-    assert g.n > solver.MEMO_MIN_BELOW  # the default gate memoizes this graph
+    assert g.n > solver.MEMO_OFF_UP_TO  # the default gate memoizes this graph
     assert exists_labeling(g, 2) is None
     found = exists_labeling(g, 3)
     assert found is not None and verify(g, found).is_d_lucky
+
+
+def test_memo_keys_every_depth_where_a_check_retires():
+    # the rule, derived here from the graph alone: depth d >= 1 has a key
+    # when some vertex had its last edge check at depth d - 1, and the key
+    # picks the sums of the live vertices, those with a check at depth >= d
+    # and a neighbor placed before d.  An edge is checked at the last vertex
+    # of N(u) Δ N(v).  Graphs with at most 6 vertices build no table
+    def steps_of(g):
+        cliques = enumerate_maximal_cliques(g, min_size=3)
+        return _prepare(g, cliques, _root_structures(g, cliques))[0]
+
+    rng = random.Random(20)
+    randoms = [random_graph(rng, rng.randint(7, 12), rng.uniform(0.15, 0.6)) for _ in range(80)]
+    prisms = [cartesian_product(path_graph(2), cycle_graph(n)) for n in (7, 9, 11, 13)]
+    keyed_near_the_bottom = 0
+    for g in randoms + prisms:
+        steps = steps_of(g)
+        pos = {v: d for d, (v, *_) in enumerate(steps)}
+        nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+        final = [-1] * g.n
+        for u, v in g.edges:
+            at = max(pos[w] for w in nbrs[u] ^ nbrs[v])
+            final[u] = max(final[u], at)
+            final[v] = max(final[v], at)
+        for d, (*_, live) in enumerate(steps):
+            expected = [x for x in range(g.n)
+                        if nbrs[x] and min(pos[w] for w in nbrs[x]) < d <= final[x]]
+            if d >= 1 and d - 1 in final and expected:
+                assert live is not None, (g, d)
+                got = live(list(range(g.n)))
+                assert list(got if len(expected) > 1 else (got,)) == expected, (g, d)
+                keyed_near_the_bottom += d > g.n - 6
+            else:
+                assert live is None, (g, d)
+    for g in prisms:
+        assert steps_of(g)[-1][4] is not None  # the last depth is keyed too
+    assert keyed_near_the_bottom > 50
+    for g in connected_graphs(6):
+        assert all(live is None for *_, live in steps_of(g)), g
 
 
 def test_vertex_cap_enforced_and_adjustable():
