@@ -7,15 +7,13 @@ Run from the root of a source checkout::
 
 and it writes ``benchmarks/BENCH_19.json``.  The graphs are the six of the
 benchmark's families-large workload.  For each it records the vertex and
-edge counts and the wall seconds, each the least of ``REPEATS`` runs, of:
-the family builder (build and seal), :class:`dlucky.Graph` on the final
-edge list (sorted already, the sort's best case; the builders hand it a few
-sorted runs), the constructor's former definition (a set of normalized
-pairs, then ``sorted``) on the same list, :func:`dlucky.verify` of the family's
-labeling, the graph's JSON round trip, and the decode alone
-(:func:`dlucky.graph_from_json` on the canonical text).  It checks that the constructor
-gives the edges and adjacency of the former definition, and that the round
-trip gives the graph back.
+edge counts and the reference seconds (``record.py``), each the median of
+``REPEATS`` calls, of: the family builder (build and seal),
+:class:`dlucky.Graph` on the final edge list (sorted already, the sort's
+best case; the builders hand it a few sorted runs), :func:`dlucky.verify` of
+the family's labeling, the graph's JSON round trip, and the decode alone
+(:func:`dlucky.graph_from_json` on the canonical text).  It checks that the
+constructor and the round trip give the graph back.
 
 Memory is read with :mod:`tracemalloc` in separate, untimed calls: the MB
 the family holds after its builder returns and the peak MB during the
@@ -30,13 +28,11 @@ from __future__ import annotations
 
 import gc
 import json
-import os
-import platform
-import time
 import tracemalloc
 from pathlib import Path
 
 import dlucky
+from record import UNIT, timed, write
 
 OUT = Path(__file__).resolve().parent / "BENCH_19.json"
 REPEATS = 3
@@ -44,16 +40,6 @@ GRAPHS = [
     ("web", (5, 200)), ("web", (20, 100)), ("corona", (500, 3)),
     ("cocktail", (5, 100, 5)), ("cocktail", (2, 16, 1)), ("corona", (1000, 3)),
 ]
-
-
-def least_seconds(fn, *args):
-    """The result of ``fn(*args)`` and the least wall seconds of ``REPEATS`` calls."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return result, best
 
 
 def traced(fn, *args):
@@ -67,24 +53,6 @@ def traced(fn, *args):
         tracemalloc.stop()
 
 
-def set_and_sort(n, edges):
-    """The constructor's former definition: ``(edges, adjacency)`` from a set of pairs."""
-    normalized = set()
-    for edge in edges:
-        u, v = edge
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-        normalized.add((u, v) if u < v else (v, u))
-    edges = tuple(sorted(normalized))
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return edges, tuple(map(tuple, adj))
-
-
 def endpoint_ints(g):
     return len({id(x) for edge in g.edges for x in edge})
 
@@ -95,21 +63,20 @@ def round_trip(g):
 
 def measure(family: str, params: tuple) -> dict:
     what = f"{family}{params}".replace(" ", "")
-    fam, build_s = least_seconds(getattr(dlucky, f"build_{family}"), *params)
+    fam, build_s = timed(REPEATS, getattr(dlucky, f"build_{family}"), *params)
     g = fam.graph
     edges = list(g.edges)
-    built, graph_s = least_seconds(dlucky.Graph, g.n, edges)
-    reference, reference_s = least_seconds(set_and_sort, g.n, edges)
-    if (built.edges, built._adj) != reference or (g.edges, g._adj) != reference:
-        raise AssertionError(f"{what}: the constructor and the set-and-sort definition disagree")
-    report, verify_s = least_seconds(dlucky.verify, g, fam.labeling)
+    built, graph_s = timed(REPEATS, dlucky.Graph, g.n, edges)
+    if built != g:
+        raise AssertionError(f"{what}: the constructor changed the graph")
+    report, verify_s = timed(REPEATS, dlucky.verify, g, fam.labeling)
     if report.conflicts:
         raise AssertionError(f"{what}: the family labeling has conflicts")
-    back, json_s = least_seconds(round_trip, g)
+    back, json_s = timed(REPEATS, round_trip, g)
     if (back.n, back.edges, back.tags) != (g.n, g.edges, g.tags):
         raise AssertionError(f"{what}: the JSON round trip changed the graph")
     text = dlucky.graph_to_json(g)
-    decoded, decode_s = least_seconds(dlucky.graph_from_json, text)
+    decoded, decode_s = timed(REPEATS, dlucky.graph_from_json, text)
     if decoded != g or decoded.tags != g.tags:
         raise AssertionError(f"{what}: the decode changed the graph")
     build_held, build_peak = traced(getattr(dlucky, f"build_{family}"), *params)
@@ -121,7 +88,6 @@ def measure(family: str, params: tuple) -> dict:
         "edges": g.edge_count,
         "build_s": round(build_s, 6),
         "graph_s": round(graph_s, 6),
-        "set_and_sort_s": round(reference_s, 6),
         "verify_s": round(verify_s, 6),
         "json_round_trip_s": round(json_s, 6),
         "decode_s": round(decode_s, 6),
@@ -142,23 +108,18 @@ def main() -> int:
         print(json.dumps(row), flush=True)
         rows.append(row)
     result = {
-        "what": "family build and seal, Graph on the final edge list against the former "
-                "set-and-sort definition, verify, the graph JSON round trip and its decode "
-                "alone; the memory of the build and of the decoded graph, Graph's transient "
-                "memory, and the distinct endpoint ints of the built and the decoded graph",
+        "what": "family build and seal, Graph on the final edge list, verify, the graph JSON "
+                "round trip and its decode alone; the memory of the build and of the decoded "
+                "graph, Graph's transient memory, and the distinct endpoint ints of the built "
+                "and the decoded graph",
         "command": "PYTHONPATH=src python3 benchmarks/bench_build.py",
-        "seconds": f"wall time, least of {REPEATS} runs",
+        "seconds": f"{UNIT}; each the median of {REPEATS} calls",
         "memory": "tracemalloc, one untimed call each: MB the family holds after the "
                   "build and its peak during it, the same for the decode of the canonical "
                   "text; Graph's peak above what it holds, per edge",
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
         "graphs": rows,
     }
-    OUT.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    write(OUT, result)
     return 0
 
 

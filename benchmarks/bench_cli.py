@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The dlucky command line end to end: each command's child wall time.
+"""The dlucky command line end to end: each command's child time.
 
 Run from the root of a source checkout::
 
@@ -9,25 +9,23 @@ and it writes ``benchmarks/BENCH_13.json``.  The children import ``dlucky``
 from this checkout's ``src/``.  The inputs are those of the benchmark's cli
 workload: ``web(5,100)`` and ``cocktail(2,14,1)`` through gen, label,
 verify, bound and export-dot, and ``dlucky solve --json`` on a
-``corona(8,1)`` file.  For each command it records the median wall
-milliseconds of ``RUNS`` child processes ``python -m dlucky.cli ...`` (the
-commands take turns, so drift spreads over all of them), with two baselines
-timed the same way: a bare ``python -c pass`` and ``python -c "import
-dlucky"``.  The ``dlucky`` modules each command loads are pinned by
-``tests/test_imports.py``.
+``corona(8,1)`` file.  For each command it records the median reference
+milliseconds (``record.py``) of ``RUNS`` child processes ``python -m
+dlucky.cli ...``, with two baselines timed the same way: a bare ``python -c
+pass`` and ``python -c "import dlucky"``.  The ``dlucky`` modules each
+command loads are pinned by ``tests/test_imports.py``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
-import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+from record import UNIT, timed, write
 
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "BENCH_13.json"
@@ -47,16 +45,13 @@ COMMANDS = [
 ] + [["gen", "corona", "--n", "8", "--r", "1", "-o", "corona.json"], ["solve", "corona.json", "--json"]]
 
 
-def child(argv: list[str], cwd: str) -> float:
-    """Wall milliseconds of one child; a failed child is an error."""
+def child(argv: list[str], cwd: str) -> None:
+    """Run one child; a failed child is an error."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
-    start = time.perf_counter()
     done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
-    ms = (time.perf_counter() - start) * 1000
     if done.returncode != 0:
         raise RuntimeError(f"{argv[1:]} exited {done.returncode}: {done.stderr.strip()[-200:]}")
-    return ms
 
 
 def main() -> int:
@@ -67,29 +62,19 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as cwd:
         for _, argv in runs:  # once untimed, so every input file exists
             child(argv, cwd)
-        times = [[] for _ in runs]
-        for _ in range(RUNS):
-            for ms, (_, argv) in zip(times, runs):
-                ms.append(child(argv, cwd))
-    rows = [{"command": name, "median_ms": round(statistics.median(ms), 2)}
-            for ms, (name, _) in zip(times, runs)]
+        rows = [{"command": name, "median_ms": round(timed(RUNS, child, argv, cwd)[1] * 1000, 2)}
+                for name, argv in runs]
     for row in rows:
         print(json.dumps(row), flush=True)
     result = {
         "what": "each dlucky subcommand as a child process on the cli workload's inputs: median "
-                "wall time, against a bare interpreter",
+                "time, against a bare interpreter",
         "command": "python3 benchmarks/bench_cli.py",
-        "median_ms": f"median wall milliseconds of {RUNS} child processes, the commands in turn",
+        "median_ms": f"{UNIT}, in milliseconds; each the median of {RUNS} child processes",
         "modules": "the dlucky modules each command loads are pinned by tests/test_imports.py",
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "dont_write_bytecode": sys.dont_write_bytecode,
-        },
         "commands": rows,
     }
-    OUT.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    write(OUT, result, dont_write_bytecode=sys.dont_write_bytecode)
     return 0
 
 

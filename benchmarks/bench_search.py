@@ -13,9 +13,10 @@ The graphs are the six of the benchmark's search-hard workload and K_9 minus
 the edge (7, 8), built with ``dlucky``'s own constructors.
 For each budget k from 1 to eta it records whether the root checks
 (:func:`dlucky.solver._clique_refutes`) refuted k or the kernel searched it,
-the kernel's nodes and whether it found a labeling, and the least wall
-seconds of ``REPEATS`` kernel calls; per graph, it records the number of
-depths that carry a memo key in :func:`dlucky.solver._prepare`'s steps.
+the kernel's nodes and whether it found a labeling, and the median
+reference seconds (``record.py``) of ``REPEATS`` kernel calls; per graph,
+it records the number of depths that carry a memo key in
+:func:`dlucky.solver._prepare`'s steps.
 Node counts do not depend on the machine, so they are checked exactly: per
 graph they must sum to ``exact_eta``'s ``nodes_explored`` and to ``NODES``,
 and the first labeling found must verify.
@@ -24,9 +25,6 @@ and the first labeling found must verify.
 from __future__ import annotations
 
 import json
-import os
-import platform
-import time
 from pathlib import Path
 
 import dlucky
@@ -52,17 +50,9 @@ NODES = {"K_8": 36, "corona(9,1)": 38, "corona(7,2)": 34, "cocktail(2,6,1)": 39,
          "prism(11)": 21758, "prism(13)": 37229, "K_9 minus (7,8)": 35}
 
 
-def least_seconds(fn, *args):
-    """The result of ``fn(*args)`` and the least wall seconds of ``REPEATS`` calls."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return result, best
-
-
 def measure(name: str) -> tuple[list[dict], int]:
+    from record import timed  # here, not at the top: tests load this file by path
+
     g = GRAPHS[name]()
     solved = dlucky.exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
     cliques = enumerate_maximal_cliques(g, min_size=3)
@@ -75,7 +65,7 @@ def measure(name: str) -> tuple[list[dict], int]:
         if _clique_refutes(structures, k):
             row.update(by="root", nodes=0, found=False, kernel_s=None)
         else:
-            (labels, nodes), seconds = least_seconds(_search.search, k, steps, slots, _top(k, regular))
+            (labels, nodes), seconds = timed(REPEATS, _search.search, k, steps, slots, _top(k, regular))
             row.update(by="search", nodes=nodes, found=labels is not None, kernel_s=round(seconds, 6))
             if labels is not None and not dlucky.verify(g, dlucky.Labeling(labels, k_max=k)).is_d_lucky:
                 raise AssertionError(f"{name}: the labeling found at k = {k} does not verify")
@@ -89,6 +79,8 @@ def measure(name: str) -> tuple[list[dict], int]:
 
 
 def main() -> int:
+    from record import UNIT, write
+
     rows = []
     memoized = {}
     for name in GRAPHS:
@@ -104,20 +96,13 @@ def main() -> int:
                 "root refutation or kernel search, nodes (exact), whether a labeling was found, "
                 "kernel seconds, and the graph's memoized depths",
         "command": "PYTHONPATH=src python3 benchmarks/bench_search.py",
-        "seconds": f"wall time of dlucky._search.search, least of {REPEATS} runs, of this "
-                   "tree's kernel only: on a shared machine they compare only within one file, "
-                   "not across BENCH_*.json records",
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "seconds": f"{UNIT}; each the median of {REPEATS} calls of dlucky._search.search",
         "total": {"nodes": nodes, "kernel_s": round(kernel_s, 6),
                   "nodes_per_s": round(nodes / kernel_s)},
         "memoized_depths": memoized,
         "budgets": rows,
     }
-    OUT.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    write(OUT, result)
     return 0
 
 

@@ -8,11 +8,12 @@ Run from the root of a source checkout::
 and it writes ``benchmarks/BENCH_7.json``.  The graphs are the six of the
 benchmark's families-large workload plus ``cocktail(2,14,1)``.  For each it
 records the clique number, the nodes of the two searches of
-:mod:`dlucky.bounds` (exact counts, the same on every machine), the wall
-seconds of :func:`dlucky.lower_bound_thm1_witness` and of the definition by
-listing (every maximum clique from :func:`dlucky.enumerate_maximum_cliques`,
-the first best one in lexicographic order), each the least of ``REPEATS``
-runs, and it checks that both give the same bound and witness.  The listing
+:mod:`dlucky.bounds` (exact counts, the same on every machine), the
+reference seconds (``record.py``) of :func:`dlucky.lower_bound_thm1_witness`
+and of the definition by listing (every maximum clique from
+:func:`dlucky.enumerate_maximum_cliques`, the first best one in
+lexicographic order), each the median of ``REPEATS`` calls, and it checks
+that both give the same bound and witness.  The listing
 is skipped on ``cocktail(5,100,5)``: no listing of its 5^100 maximum cliques
 ends.
 """
@@ -20,13 +21,11 @@ ends.
 from __future__ import annotations
 
 import json
-import os
-import platform
-import time
 from pathlib import Path
 
 import dlucky
 from dlucky.bounds import _best_clique, _f, _greedy_clique, _masks, _omega
+from record import UNIT, timed, write
 
 OUT = Path(__file__).resolve().parent / "BENCH_7.json"
 REPEATS = 3
@@ -37,19 +36,9 @@ GRAPHS = [
 UNLISTED = {("cocktail", (5, 100, 5))}
 
 
-def least_seconds(fn, *args):
-    """The result of ``fn(*args)`` and the least wall seconds of ``REPEATS`` calls."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return result, best
-
-
 def by_listing(g):
     """Theorem 1 by its definition: the first best of all maximum cliques."""
-    records = dlucky.enumerate_maximum_cliques(g, vertex_cap=None)
+    records = dlucky.enumerate_maximum_cliques(g)
     omega = len(records[0].vertices)
     best = max(records, key=lambda record: _f(record.delta, record.max_deg, omega))
     return _f(best.delta, best.max_deg, omega), best, len(records)
@@ -60,7 +49,7 @@ def measure(family: str, params: tuple) -> dict:
     masks, greedy = _masks(g), _greedy_clique(g)
     omega, omega_nodes = _omega(masks, len(greedy))
     _, witness, witness_nodes = _best_clique(masks, omega, greedy)
-    (bound, record), search_s = least_seconds(dlucky.lower_bound_thm1_witness, g)
+    (bound, record), search_s = timed(REPEATS, dlucky.lower_bound_thm1_witness, g)
     if list(record.vertices) != witness:
         raise AssertionError(f"{family}{params}: the searches and lower_bound_thm1_witness disagree")
     row = {
@@ -78,7 +67,7 @@ def measure(family: str, params: tuple) -> dict:
         "listing_s": None,
     }
     if (family, params) not in UNLISTED:
-        (listed_bound, listed, count), listing_s = least_seconds(by_listing, g)
+        (listed_bound, listed, count), listing_s = timed(REPEATS, by_listing, g)
         if (listed_bound, listed) != (bound, record):
             raise AssertionError(f"{family}{params}: search {bound, record} != listing {listed_bound, listed}")
         row.update(maximum_cliques=count, listing_s=round(listing_s, 6))
@@ -95,15 +84,10 @@ def main() -> int:
         "what": "Theorem 1's bound and witness by the two branch-and-bound searches of "
                 "dlucky.bounds, against the definition by listing every maximum clique",
         "command": "PYTHONPATH=src python3 benchmarks/bench_thm1.py",
-        "seconds": f"wall time, least of {REPEATS} runs",
-        "environment": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "seconds": f"{UNIT}; each the median of {REPEATS} calls",
         "graphs": rows,
     }
-    OUT.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    write(OUT, result)
     return 0
 
 

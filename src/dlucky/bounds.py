@@ -240,20 +240,14 @@ def _record(g: Graph, vertices: tuple[int, ...]) -> CliqueRecord:
     return CliqueRecord(vertices=vertices, delta=min(degs), max_deg=max(degs))
 
 
-def enumerate_maximum_cliques(
-    g: Graph, vertex_cap: int | None = 64
-) -> list[CliqueRecord]:
+def enumerate_maximum_cliques(g: Graph) -> list[CliqueRecord]:
     """Every clique of maximum size, each exactly once, in lexicographic order.
 
     The clique number comes from search 1 (module docstring); the maximum
     cliques are the maximal cliques that large.  Their number can be
-    exponential, so inputs above ``vertex_cap`` vertices are refused (pass
-    ``None`` to lift the guard).
+    exponential even on few vertices: ``cocktail(2,16,1)`` has 64 vertices
+    and 65,536 maximum cliques.
     """
-    if vertex_cap is not None and g.n > vertex_cap:
-        raise ValueError(
-            f"graph has {g.n} vertices, above the clique-enumeration cap of {vertex_cap}"
-        )
     if g.n == 0:
         return []
     masks = _masks(g)

@@ -29,7 +29,7 @@ from .graph import (  # noqa: F401
     path_graph,
     subdivide_edges,
 )
-from .labeling import ConstructionError, Labeling, max_label, verify
+from .labeling import ConstructionError, Labeling, d_lucky_sums, max_label, verify
 
 
 class LabeledFamily(NamedTuple):
@@ -267,8 +267,6 @@ def build_cocktail(n: int, t: int, r: int) -> LabeledFamily:
 
 def family_dsum_table(family: LabeledFamily) -> list[tuple[str, int, int]]:
     """Rows (role, vertex, d-sum) in role_index order, for sum-table printing."""
-    from .labeling import d_lucky_sums
-
     sums = d_lucky_sums(family.graph, family.labeling)
     rows = []
     for role, vertices in family.role_index.items():

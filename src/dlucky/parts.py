@@ -166,15 +166,17 @@ def check_hall_bound(g: Graph, bound: int, cert: HallCertificate) -> bool:
     ``[a, b]``, with ``b - a + 2`` such parts, one more than the values of
     ``[a, b]``.  A bound of 1 needs no interval.  The bound, the vertices,
     the interval's ends and the indices must be exact ints (not bools), the
-    interval a pair, and the parts and indices iterable; anything else is
-    False.
+    interval a pair, the parts and indices iterable, and ``cert`` a triple
+    ``(parts, interval, overfull)``, a plain tuple or a
+    :class:`HallCertificate`; anything else is False.
     """
     if type(bound) is not int or bound < 1:
         return False
     try:
-        parts = [set(p) for p in cert.parts]
-        overfull = tuple(cert.overfull)
-    except TypeError:  # not iterable, or a part holds an unhashable item
+        parts, interval, overfull = cert
+        parts = [set(p) for p in parts]
+        overfull = tuple(overfull)
+    except (TypeError, ValueError):  # not a triple, not iterable, or an unhashable vertex
         return False
     union = set().union(*parts)
     if not all(parts) or sum(map(len, parts)) != len(union):
@@ -188,10 +190,10 @@ def check_hall_bound(g: Graph, bound: int, cert: HallCertificate) -> bool:
             if nbrs[v] & part or not others <= nbrs[v]:
                 return False
     if bound == 1:
-        return cert.interval is None and not overfull
-    if not isinstance(cert.interval, (tuple, list)) or len(cert.interval) != 2:
+        return interval is None and not overfull
+    if not isinstance(interval, (tuple, list)) or len(interval) != 2:
         return False
-    a, b = cert.interval
+    a, b = interval
     if not (type(a) is type(b) is int and a <= b and all(type(i) is int for i in overfull)):
         return False
     chosen = set(overfull)

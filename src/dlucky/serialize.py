@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 from .graph import Graph
-from .labeling import ConflictReport, Labeling
+from .labeling import ConflictReport, Labeling, max_label
 
 
 def _dumps(obj) -> str:
@@ -91,8 +91,6 @@ def labeling_from_json(text: str) -> Labeling:
 
 
 def report_to_json(report: ConflictReport, labeling: Labeling) -> str:
-    from .labeling import max_label
-
     obj = {
         "conflicts": [
             {"edge": [u, v], "d_sum": s} for (u, v), s in report.conflicts

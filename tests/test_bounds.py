@@ -1,15 +1,10 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import dlucky
 from dlucky import (
     Graph,
     build_cocktail,
@@ -20,7 +15,6 @@ from dlucky import (
     cycle_graph,
     enumerate_maximal_cliques,
     enumerate_maximum_cliques,
-    exact_eta,
     lower_bound_cor2,
     lower_bound_thm1,
     lower_bound_thm1_witness,
@@ -62,7 +56,7 @@ def test_c6_maximum_cliques_are_the_edges():
 def test_web_graph_has_unique_maximum_clique():
     for m, n in [(3, 5), (3, 6), (4, 6)]:
         fam = build_web(m, n)
-        records = enumerate_maximum_cliques(fam.graph, vertex_cap=None)
+        records = enumerate_maximum_cliques(fam.graph)
         assert len(records) == 1
         rec = records[0]
         assert rec.vertices == fam.role_index["clique"]
@@ -100,14 +94,6 @@ def test_each_record_is_a_clique_with_true_degree_extremes():
             # each clique vertex has degree >= omega - 1, so the
             # bound's denominator stays positive
             assert rec.max_deg - omega + 2 >= 1
-
-
-def test_vertex_cap_refusal_names_the_cap():
-    g = Graph(70)
-    with pytest.raises(ValueError, match="64"):
-        enumerate_maximum_cliques(g)
-    assert len(enumerate_maximum_cliques(g, vertex_cap=70)) == 70
-    assert len(enumerate_maximum_cliques(g, vertex_cap=None)) == 70
 
 
 def test_search_node_counts_are_pinned():
@@ -281,16 +267,6 @@ def test_thm1_matches_cor2_when_clique_degrees_equal():
     assert checked > 5
 
 
-def test_hall_bound_never_exceeds_eta_on_small_connected_graphs():
-    raised = 0
-    for g in connected_graphs(6):
-        bound = lower_bound_hall(g)
-        eta = exact_eta(g, max_k=g.n + 2).eta
-        assert 1 <= bound <= eta
-        raised += bound > 1
-    assert raised > 0
-
-
 def test_part_bound_is_never_below_its_seed_clique():
     # the seed clique alone refutes k = 1 on this P_4; the parts grown from
     # it, {0, 2} and {1}, do not
@@ -345,19 +321,6 @@ def test_clique_ranges_match_the_parts_of_one_vertex():
     for g in connected_graphs(6):
         for q in enumerate_maximal_cliques(g):
             assert clique_ranges(g._adj, q) == part_ranges(g, [[v] for v in q])
-
-
-def test_importing_the_package_leaves_parts_unloaded():
-    # a fresh import compiles every module it loads; parts loads on first use
-    src = str(Path(dlucky.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    code = "import sys, dlucky; print('dlucky.parts' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
 
 
 COCKTAILS = [(2, 6, 1), (3, 10, 1), (2, 14, 1), (4, 12, 1), (2, 30, 3), (5, 100, 5)]
@@ -451,6 +414,10 @@ def test_checker_rejects_tampered_certificates():
     assert not check_hall_bound(g, bound, cert._replace(overfull=None))
     assert not check_hall_bound(g, bound, cert._replace(parts=(parts[0], 7) + tuple(parts[2:])))
     assert not check_hall_bound(g, bound, cert._replace(parts=(parts[0], [[0]]) + tuple(parts[2:])))
+    assert not check_hall_bound(g, bound, None)
+    assert not check_hall_bound(g, bound, cert[:2])
+    # a certificate is a tuple: a plain one with the same values passes too
+    assert check_hall_bound(g, bound, tuple(cert))
     # bools compare like ints, but a bound or a vertex must be an int
     assert check_hall_bound(complete_graph(1), 1, HallCertificate(((0,),), None, ()))
     assert not check_hall_bound(complete_graph(1), True, HallCertificate(((0,),), None, ()))
