@@ -14,9 +14,9 @@ the edge (7, 8), built with ``dlucky``'s own constructors.
 For each budget k from 1 to eta it records whether the root checks
 (:func:`dlucky.solver._clique_refutes`) refuted k or the kernel searched it,
 the kernel's nodes and whether it found a labeling, and the median
-reference seconds (``record.py``) of ``REPEATS`` kernel calls; per graph,
-it records the number of depths that carry a memo key in
-:func:`dlucky.solver._prepare`'s steps.
+reference seconds (``record.py``) of ``REPEATS`` kernel calls, all on the
+structures and steps of :func:`dlucky.solver._setup`, as the solver builds
+them; per graph, it records the number of depths that carry a memo key.
 Node counts do not depend on the machine, so they are checked exactly: per
 graph they must sum to ``exact_eta``'s ``nodes_explored`` and to ``NODES``,
 and the first labeling found must verify.
@@ -29,8 +29,7 @@ from pathlib import Path
 
 import dlucky
 from dlucky import _search
-from dlucky.bounds import enumerate_maximal_cliques
-from dlucky.solver import _clique_refutes, _prepare, _root_structures, _top
+from dlucky.solver import _clique_refutes, _setup, _top
 
 OUT = Path(__file__).resolve().parent / "BENCH_20.json"
 REPEATS = 5
@@ -55,9 +54,7 @@ def measure(name: str) -> tuple[list[dict], int]:
 
     g = GRAPHS[name]()
     solved = dlucky.exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
-    cliques = enumerate_maximal_cliques(g, min_size=3)
-    structures = _root_structures(g, cliques)
-    steps, slots, regular = _prepare(g, cliques, structures)
+    structures, steps, slots, regular = _setup(g)
     memoized = sum(live is not None for *_, live in steps)
     rows = []
     for k in range(1, solved.eta + 1):

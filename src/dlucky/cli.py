@@ -93,15 +93,19 @@ def cmd_gen(args) -> int:
 
 
 def cmd_label(args) -> int:
+    if args.out == "-" and args.roles == "-":
+        raise ValueError("-o - and --roles - cannot both write to stdout")
     fam = _build(args)
     _write(args.out, labeling_to_json(fam.labeling))
     if args.roles:
         roles = {role: list(v) for role, v in fam.role_index.items()}
         _write(args.roles, _dumps(roles))
     report = verify(fam.graph, fam.labeling)
-    print(f"claimed_eta={fam.claimed_eta}")
-    print(f"max_label={max_label(fam.labeling)}")
-    print(f"conflicts={len(report.conflicts)}")
+    # a document on stdout must parse on its own, so the summary then goes to stderr
+    summary = sys.stderr if "-" in (args.out, args.roles) else sys.stdout
+    print(f"claimed_eta={fam.claimed_eta}", file=summary)
+    print(f"max_label={max_label(fam.labeling)}", file=summary)
+    print(f"conflicts={len(report.conflicts)}", file=summary)
     return 0
 
 

@@ -22,7 +22,7 @@ clique test take their ranges from that one routine.  The structures come
 from :func:`_root_structures`: every clique as parts of one vertex, and the
 structures :func:`parts.grow_parts` grows from the large maximal cliques.
 Every clique range and part hull only widens as k grows, so once a budget
-passes both root checks every larger one does: :func:`exact_eta` tests
+passes both root checks every larger one does: :func:`_solve` tests
 nothing more from there, and the budgets the root checks refute are exactly
 those below the least one they pass.  Only budgets are refuted, never a
 subtree, so the search, its visit order and the witness do not change;
@@ -320,31 +320,47 @@ def _top(k: int, regular: bool) -> int:
     return (k + 1) // 2 if regular else k
 
 
-def _run(k: int, prepared: tuple) -> tuple[Labeling | None, int]:
-    steps, slots, regular = prepared
-    labels, nodes = _search.search(k, steps, slots, _top(k, regular))
-    return (Labeling(labels, k_max=k) if labels is not None else None), nodes
+def _setup(g: Graph) -> tuple[list, tuple, tuple, bool]:
+    """The root structures over the maximal cliques of 3 or more vertices, and
+    :func:`_prepare`'s steps, slots and complement flag from them."""
+    cliques = enumerate_maximal_cliques(g, min_size=3)
+    structures = _root_structures(g, cliques)
+    return (structures, *_prepare(g, cliques, structures))
 
 
-def _check_search_args(g: Graph, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> None:
+def _solve(g: Graph, budgets) -> SolveResult:
+    """The least of ``budgets``, an increasing nonempty sequence, that has a labeling.
+
+    Each budget goes to :func:`_clique_refutes`; the first one that passes is
+    searched, and so is every later one, and the nodes add up over the searches.
+    """
+    structures, steps, slots, regular = _setup(g)
+    total_nodes = 0
+    for k in budgets:
+        if _clique_refutes(structures, k):
+            continue
+        # the ranges only widen as k grows, so every later budget passes too
+        structures = ()
+        labels, nodes = _search.search(k, steps, slots, _top(k, regular))
+        total_nodes += nodes
+        if labels is not None:
+            witness = Labeling(labels, k_max=k)
+            return SolveResult(eta=k, witness=witness, nodes_explored=total_nodes, k_tried=k)
+    return SolveResult(eta=None, witness=None, nodes_explored=total_nodes, k_tried=budgets[-1])
+
+
+def _check_search_args(g: Graph, k: int) -> None:
     # the kernel exhausts a depth at ell == k, which never holds for a float k
     if g.n == 0:
         raise ValueError("search requires a nonempty graph")
     if type(k) is not int or k < 1:
         raise ValueError(f"label budget must be an int >= 1, got {k!r}")
-    if type(vertex_cap) is not int:
-        raise ValueError(f"vertex cap must be an int, got {vertex_cap!r}")
 
 
 def exists_labeling(g: Graph, k: int) -> Labeling | None:
     """A verifying labeling into 1..k, or None after certified exhaustion."""
     _check_search_args(g, k)
-    cliques = enumerate_maximal_cliques(g, min_size=3)
-    structures = _root_structures(g, cliques)
-    if _clique_refutes(structures, k):
-        return None
-    witness, _ = _run(k, _prepare(g, cliques, structures))
-    return witness
+    return _solve(g, (k,)).witness
 
 
 def exact_eta(g: Graph, max_k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveResult:
@@ -355,26 +371,9 @@ def exact_eta(g: Graph, max_k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Sol
     search.  Graphs above ``vertex_cap`` vertices are refused; raise the cap
     explicitly for bigger (slower) runs.
     """
-    _check_search_args(g, max_k, vertex_cap)
+    _check_search_args(g, max_k)
+    if type(vertex_cap) is not int:
+        raise ValueError(f"vertex cap must be an int, got {vertex_cap!r}")
     if g.n > vertex_cap:
-        raise ValueError(
-            f"graph has {g.n} vertices, above the solver vertex cap of {vertex_cap}"
-        )
-    cliques = enumerate_maximal_cliques(g, min_size=3)
-    structures = _root_structures(g, cliques)
-    prepared = _prepare(g, cliques, structures)
-    total_nodes = 0
-    for k in range(1, max_k + 1):
-        if _clique_refutes(structures, k):
-            continue
-        # the ranges only widen as k grows, so every later budget passes too
-        structures = ()
-        witness, nodes = _run(k, prepared)
-        total_nodes += nodes
-        if witness is not None:
-            return SolveResult(
-                eta=k, witness=witness, nodes_explored=total_nodes, k_tried=k
-            )
-    return SolveResult(
-        eta=None, witness=None, nodes_explored=total_nodes, k_tried=max_k
-    )
+        raise ValueError(f"graph has {g.n} vertices, above the solver vertex cap of {vertex_cap}")
+    return _solve(g, range(1, max_k + 1))

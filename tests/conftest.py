@@ -1,4 +1,5 @@
-"""Shared test helpers: random inputs and independent brute-force oracles.
+"""Shared test helpers: random inputs, independent brute-force oracles, and
+the package's own answers on the small connected graphs, computed once.
 
 The oracles here recompute everything from the definitions with naive loops
 and never call the code paths they are used to check.
@@ -147,6 +148,20 @@ def connected_graphs(max_n: int) -> tuple[Graph, ...]:
             if is_connected(g):
                 graphs.append(g)
     return tuple(graphs)
+
+
+@functools.lru_cache(maxsize=None)
+def corpus6_facts() -> tuple:
+    """Per graph of ``connected_graphs(6)``: ``(g, (Theorem 1 bound, its witness
+    clique), (part bound, its certificate), exact_eta(g, n + 2))``, from the
+    package, computed once for the tests that check them."""
+    from dlucky import exact_eta, lower_bound_thm1_witness
+    from dlucky.parts import lower_bound_hall_witness
+
+    return tuple(
+        (g, lower_bound_thm1_witness(g), lower_bound_hall_witness(g), exact_eta(g, max_k=g.n + 2))
+        for g in connected_graphs(6)
+    )
 
 
 def reference_search(k, steps, slots, top):

@@ -23,8 +23,7 @@ from dlucky import (
     subdivide_edges,
     verify,
 )
-from dlucky.parts import lower_bound_hall
-from conftest import connected_graphs, oracle_is_d_lucky, random_graph
+from conftest import corpus6_facts, oracle_is_d_lucky, random_graph
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float) -> None:
@@ -118,11 +117,9 @@ def test_criterion_4_cocktail_grid():
 def test_criterion_5_lower_bound_soundness():
     start = time.perf_counter()
     total = violations = raised = 0
-    for g in connected_graphs(6):
+    for _, (bound, _), (part_bound, _), solved in corpus6_facts():
         total += 1
-        bound = lower_bound_thm1(g)
-        part_bound = lower_bound_hall(g)
-        eta = exact_eta(g, max_k=g.n + 2).eta
+        eta = solved.eta
         if eta is None or bound > eta or not 1 <= part_bound <= eta:
             violations += 1
         raised += part_bound > 1

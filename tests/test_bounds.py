@@ -32,6 +32,7 @@ from dlucky.parts import (
 )
 from conftest import (
     connected_graphs,
+    corpus6_facts,
     oracle_hall_fails,
     oracle_maximal_cliques,
     oracle_maximum_cliques,
@@ -139,9 +140,8 @@ def _thm1_by_listing(g):
     return (omega, *best)
 
 
-def _check_thm1_searches(g):
+def _check_thm1_searches(g, got, record):
     omega, bound, witness = _thm1_by_listing(g)
-    got, record = lower_bound_thm1_witness(g)
     assert (got, record.vertices) == (bound, witness)
     degs = [g.degree(v) for v in witness]
     assert (record.delta, record.max_deg) == (min(degs), max(degs))
@@ -149,8 +149,8 @@ def _check_thm1_searches(g):
 
 
 def test_thm1_searches_match_the_listing_on_small_connected_graphs():
-    for g in connected_graphs(6):
-        _check_thm1_searches(g)
+    for g, thm1, _, _ in corpus6_facts():
+        _check_thm1_searches(g, *thm1)
 
 
 @st.composite
@@ -165,7 +165,7 @@ def connected_graph(draw, max_n=12):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(connected_graph())
 def test_thm1_searches_match_the_listing_on_drawn_graphs(g):
-    _check_thm1_searches(g)
+    _check_thm1_searches(g, *lower_bound_thm1_witness(g))
 
 
 def test_greedy_clique_picks_the_candidate_of_largest_degree():
@@ -273,10 +273,9 @@ def test_part_bound_is_never_below_its_seed_clique():
     p4 = Graph(4, [(0, 1), (0, 3), (1, 2)])
     bound, cert = lower_bound_hall_witness(p4)
     assert bound == 2 and check_hall_bound(p4, bound, cert)
-    for g in connected_graphs(6):
+    for g, _, (bound, cert), _ in corpus6_facts():
         alone = part_ranges(g, [[v] for v in _greedy_clique(g)])
         seed_bound = next(k for k in itertools.count(1) if not hall_fails(*part_hulls(alone, k)))
-        bound, cert = lower_bound_hall_witness(g)
         assert bound >= seed_bound
         assert check_hall_bound(g, bound, cert)
 
@@ -359,7 +358,6 @@ def test_checker_accepts_every_certificate():
     rng = random.Random(331)
     randoms = [random_graph(rng, rng.randint(2, 12), rng.uniform(0.3, 0.9)) for _ in range(200)]
     cocktails = [build_cocktail(*params).graph for params in COCKTAILS[:4]]
-    assert sum(bound > 1 for _, bound, _ in _certified(connected_graphs(5))) > 0
     assert sum(bound > 1 for _, bound, _ in _certified(randoms + cocktails)) > 0
 
 
@@ -401,6 +399,17 @@ def test_checker_rejects_tampered_certificates():
     one_more = tuple(range(len(cert.overfull) + 1))
     assert len(one_more) <= len(parts)
     assert not check_hall_bound(g, bound, cert._replace(overfull=one_more))
+    # each index once, and each naming a part
+    assert not check_hall_bound(g, bound, cert._replace(overfull=cert.overfull + cert.overfull[:1]))
+    assert not check_hall_bound(g, bound, cert._replace(overfull=cert.overfull[:-1] + (len(parts),)))
+    # parts are disjoint and nonempty.  Two different parts that share a vertex
+    # fail the join test too, so the overlap only the count catches is a vertex
+    # set listed twice; unchecked, it and an empty part prove K_3 needs 4
+    # labels and K_1 needs 2
+    assert not check_hall_bound(g, bound, cert._replace(parts=tuple(parts + [parts[0]])))
+    triple = HallCertificate(((0,), (1,), (2,), (0,)), (-1, 1), (0, 1, 2, 3))
+    assert not check_hall_bound(complete_graph(3), 4, triple)
+    assert not check_hall_bound(complete_graph(1), 2, HallCertificate(((0,), ()), (-1, -1), (0, 1)))
     # an inverted interval has a negative count of values, which no parts
     # at all would exceed
     inverted = cert._replace(interval=(5, 3), overfull=())

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import dlucky
-from dlucky import ConflictReport, build_cocktail, cli, graph_from_json, labeling_from_json
+from dlucky import (
+    ConflictReport, build_cocktail, build_corona, cli, graph_from_json, graph_to_json, labeling_from_json,
+)
 from dlucky.parts import HallCertificate, check_hall_bound
 from dlucky.cli import main
 
@@ -71,15 +74,19 @@ def test_label_reports_claimed_eta(tmp_path, capsys):
     assert "conflicts=0" in stdout
     assert labeling_from_json(out.read_text()).k_max == 6
 
-    code, stdout, _ = run(capsys, "label", "web", "--m", "4", "--n", "6", "-o", "-")
+    # with the labeling on stdout, stdout is a labeling file and the summary
+    # goes to stderr
+    code, stdout, stderr = run(capsys, "label", "web", "--m", "4", "--n", "6", "-o", "-")
     assert code == 0
-    assert "claimed_eta=4" in stdout
+    assert labeling_from_json(stdout).k_max == 4
+    assert "claimed_eta=4" in stderr
 
-    code, stdout, _ = run(
+    code, stdout, stderr = run(
         capsys, "label", "cocktail", "--n", "3", "--t", "8", "--r", "4", "-o", "-"
     )
     assert code == 0
-    assert "claimed_eta=2" in stdout
+    assert labeling_from_json(stdout).k_max == 2
+    assert "claimed_eta=2" in stderr
 
 
 def test_label_writes_roles_map(tmp_path, capsys):
@@ -91,6 +98,15 @@ def test_label_writes_roles_map(tmp_path, capsys):
     assert code == 0
     data = json.loads(roles.read_text())
     assert data["clique"] == [0, 1, 2]
+    code, stdout, stderr = run(
+        capsys, "label", "corona", "--n", "3", "--r", "1",
+        "-o", str(tmp_path / "lab.json"), "--roles", "-",
+    )
+    assert code == 0 and json.loads(stdout) == data and "claimed_eta=" in stderr
+    # two documents on stdout would not parse as either
+    code, stdout, stderr = run(capsys, "label", "corona", "--n", "3", "--r", "1", "--roles", "-")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: -o - and --roles - cannot both write to stdout\n"
 
 
 def test_round_trip_gen_label_verify(tmp_path, capsys):
@@ -101,6 +117,15 @@ def test_round_trip_gen_label_verify(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(g), str(lab))
     assert code == 0
     assert "d-lucky" in stdout
+
+
+def test_verify_reads_the_graph_from_stdin(tmp_path, capsys, monkeypatch):
+    lab = tmp_path / "l.json"
+    assert run(capsys, "label", "corona", "--n", "5", "--r", "4", "-o", str(lab))[0] == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(graph_to_json(build_corona(5, 4).graph)))
+    code, stdout, _ = run(capsys, "verify", "-", str(lab))
+    assert code == 0
+    assert stdout == "d-lucky: 0 conflict(s), max label 2\n"
 
 
 def test_verify_conflict_exit_1(tmp_path, capsys):

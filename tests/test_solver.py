@@ -22,7 +22,7 @@ from dlucky import (
 )
 from dlucky import _search, solver
 from dlucky.bounds import enumerate_maximal_cliques
-from dlucky.solver import _clique_refutes, _prepare, _root_structures, _top
+from dlucky.solver import _clique_refutes, _root_structures, _setup, _top
 from conftest import (
     connected_graphs,
     k_minus,
@@ -33,6 +33,11 @@ from conftest import (
     random_graph,
     reference_search,
 )
+
+
+# K_4 {1, 3, 5, 6}, triangle {0, 5, 6}, pendants 2, 4 at 0: at k = 2 vertex 1's depth hits the
+# memo below vertex 6 of the K_4, whose Hall shift must then be undone (eta 3, not 2, without)
+HALL_MEMO = Graph(7, [(0, 2), (0, 4), (0, 5), (0, 6), (1, 3), (1, 5), (1, 6), (3, 5), (3, 6), (5, 6)])
 
 
 def test_backend_reports_something_sensible():
@@ -148,6 +153,7 @@ def test_search_visit_order_is_pinned():
         (k_minus(9, (7, 8)), 7, 35, [1, 2, 3, 4, 5, 6, 7, 1, 6]),
         (k_minus(10, (6, 7), (8, 9)), 6, 34, [1, 2, 3, 4, 5, 6, 1, 5, 1, 6]),
         (k_minus(10, (4, 5), (6, 7), (8, 9)), 4, 25, [1, 2, 3, 4, 1, 3, 1, 4, 2, 4]),
+        (HALL_MEMO, 2, 55, [1, 1, 2, 2, 2, 1, 2]),
     ]
     for g, eta, nodes, witness in cases:
         res = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
@@ -160,16 +166,15 @@ def test_search_matches_the_per_label_reference():
     # depth; the per-label loop it replaced must give the same labels and
     # nodes at every budget up to eta, under the same depth-0 limit.  The
     # random graphs have more than 6 vertices, so some have memo tables;
-    # K_6, K_8 minus (6, 7) and cocktail(2,4,1) take the Hall path, and the
-    # prism has memo hits and a limit below k at k = 2 and 3
+    # K_6, K_8 minus (6, 7), cocktail(2,4,1) and HALL_MEMO take the Hall path, and
+    # the prism and HALL_MEMO have memo hits; the prism has a limit below k at k = 2, 3
     rng = random.Random(15)
     randoms = [random_graph(rng, rng.randint(7, 11), rng.uniform(0.1, 0.4)) for _ in range(60)]
-    hall = [complete_graph(6), k_minus(8, (6, 7)), build_cocktail(2, 4, 1).graph]
+    hall = [complete_graph(6), k_minus(8, (6, 7)), build_cocktail(2, 4, 1).graph, HALL_MEMO]
     prism = cartesian_product(path_graph(2), cycle_graph(9))
     memoized = hall_steps = capped = 0
     for g in list(connected_graphs(5)) + randoms + hall + [prism]:
-        cliques = enumerate_maximal_cliques(g, min_size=3)
-        steps, slots, regular = _prepare(g, cliques, _root_structures(g, cliques))
+        _, steps, slots, regular = _setup(g)
         memoized += any(live is not None for *_, live in steps)
         hall_steps += any(h is not None for _, _, _, h, _ in steps)
         eta = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n).eta
@@ -231,7 +236,7 @@ def test_budget_exhaustion_is_reported():
 def test_clique_refutation_agrees_with_oracle():
     refuted = 0
     for g in connected_graphs(5):
-        structures = _root_structures(g, enumerate_maximal_cliques(g, min_size=3))
+        structures = _setup(g)[0]
         for k in (1, 2, 3):
             if _clique_refutes(structures, k):
                 assert oracle_exists_labeling(g, k) is None
@@ -328,16 +333,12 @@ def test_memo_keys_every_depth_where_a_check_retires():
     # picks the sums of the live vertices, those with a check at depth >= d
     # and a neighbor placed before d.  An edge is checked at the last vertex
     # of N(u) Δ N(v).  Graphs with at most 6 vertices build no table
-    def steps_of(g):
-        cliques = enumerate_maximal_cliques(g, min_size=3)
-        return _prepare(g, cliques, _root_structures(g, cliques))[0]
-
     rng = random.Random(20)
     randoms = [random_graph(rng, rng.randint(7, 12), rng.uniform(0.15, 0.6)) for _ in range(80)]
     prisms = [cartesian_product(path_graph(2), cycle_graph(n)) for n in (7, 9, 11, 13)]
     keyed_near_the_bottom = 0
     for g in randoms + prisms:
-        steps = steps_of(g)
+        steps = _setup(g)[1]
         pos = {v: d for d, (v, *_) in enumerate(steps)}
         nbrs = [set(g.neighbors(v)) for v in range(g.n)]
         final = [-1] * g.n
@@ -356,10 +357,10 @@ def test_memo_keys_every_depth_where_a_check_retires():
             else:
                 assert live is None, (g, d)
     for g in prisms:
-        assert steps_of(g)[-1][4] is not None  # the last depth is keyed too
+        assert _setup(g)[1][-1][4] is not None  # the last depth is keyed too
     assert keyed_near_the_bottom > 50
     for g in connected_graphs(6):
-        assert all(live is None for *_, live in steps_of(g)), g
+        assert all(live is None for *_, live in _setup(g)[1]), g
 
 
 def test_vertex_cap_enforced_and_adjustable():
