@@ -5,18 +5,21 @@ Run from the root of a source checkout::
 
     PYTHONPATH=src python3 benchmarks/bench_search.py
 
-and it writes ``benchmarks/BENCH_20.json`` (``BENCH_18.json`` is the record
-from before the memo keyed every depth where an edge check retires, and
+and it writes ``benchmarks/BENCH_23.json`` (``BENCH_20.json`` is the record
+from before depths recorded a mirrored key, ``BENCH_18.json`` from before
+the memo keyed every depth where an edge check retires, and
 ``BENCH_15.json`` from before the complement cut and the symmetric-difference
 edge checks).
-The graphs are the six of the benchmark's search-hard workload and K_9 minus
-the edge (7, 8), built with ``dlucky``'s own constructors.
+The graphs are the six of the benchmark's search-hard workload, K_9 minus
+the edge (7, 8), P_2 x C_15 and the generalized Petersen graphs GP(9,2) and
+GP(11,2), built with ``dlucky``'s own constructors.
 For each budget k from 1 to eta it records whether the root checks
 (:func:`dlucky.solver._clique_refutes`) refuted k or the kernel searched it,
 the kernel's nodes and whether it found a labeling, and the median
 reference seconds (``record.py``) of ``REPEATS`` kernel calls, all on the
 structures and steps of :func:`dlucky.solver._setup`, as the solver builds
-them; per graph, it records the number of depths that carry a memo key.
+them; per graph, it records the number of depths that carry a memo key and
+the number of those that also record a mirrored key.
 Node counts do not depend on the machine, so they are checked exactly: per
 graph they must sum to ``exact_eta``'s ``nodes_explored`` and to ``NODES``,
 and the first labeling found must verify.
@@ -31,7 +34,7 @@ import dlucky
 from dlucky import _search
 from dlucky.solver import _clique_refutes, _setup, _top
 
-OUT = Path(__file__).resolve().parent / "BENCH_20.json"
+OUT = Path(__file__).resolve().parent / "BENCH_23.json"
 REPEATS = 5
 GRAPHS = {
     "K_8": lambda: dlucky.complete_graph(8),
@@ -42,20 +45,31 @@ GRAPHS = {
     "prism(13)": lambda: dlucky.cartesian_product(dlucky.path_graph(2), dlucky.cycle_graph(13)),
     "K_9 minus (7,8)": lambda: dlucky.Graph(
         9, [(u, v) for u in range(9) for v in range(u + 1, 9) if (u, v) != (7, 8)]),
+    "prism(15)": lambda: dlucky.cartesian_product(dlucky.path_graph(2), dlucky.cycle_graph(15)),
+    "GP(9,2)": lambda: generalized_petersen(9, 2),
+    "GP(11,2)": lambda: generalized_petersen(11, 2),
 }
 # search nodes of exact_eta(g, max_k=n+2) on each graph; the first six make
-# a search-hard pass, 59,134 nodes
+# a search-hard pass, 35,612 nodes
 NODES = {"K_8": 36, "corona(9,1)": 38, "corona(7,2)": 34, "cocktail(2,6,1)": 39,
-         "prism(11)": 21758, "prism(13)": 37229, "K_9 minus (7,8)": 35}
+         "prism(11)": 12912, "prism(13)": 22553, "K_9 minus (7,8)": 35,
+         "prism(15)": 32686, "GP(9,2)": 3389, "GP(11,2)": 5346}
 
 
-def measure(name: str) -> tuple[list[dict], int]:
+def generalized_petersen(n: int, k: int) -> dlucky.Graph:
+    """GP(n, k): outer cycle 0..n-1, spokes i ~ n + i, inner edges n + i ~ n + (i + k) mod n."""
+    return dlucky.Graph(2 * n, [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+                        + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+def measure(name: str) -> tuple[list[dict], int, int]:
     from record import timed  # here, not at the top: tests load this file by path
 
     g = GRAPHS[name]()
     solved = dlucky.exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
     structures, steps, slots, regular = _setup(g)
-    memoized = sum(live is not None for *_, live in steps)
+    memoized = sum(live is not None for *_, live, _ in steps)
+    mirrored = sum(mirror is not None for *_, mirror in steps)
     rows = []
     for k in range(1, solved.eta + 1):
         row = {"graph": name, "vertices": g.n, "edges": g.edge_count, "k": k}
@@ -72,16 +86,16 @@ def measure(name: str) -> tuple[list[dict], int]:
         raise AssertionError(f"{name}: a labeling must be found at k = eta = {solved.eta} alone")
     if nodes != solved.nodes_explored or nodes != NODES[name]:
         raise AssertionError(f"{name}: {nodes} nodes, exact_eta {solved.nodes_explored}, expected {NODES[name]}")
-    return rows, memoized
+    return rows, memoized, mirrored
 
 
 def main() -> int:
     from record import UNIT, write
 
     rows = []
-    memoized = {}
+    memoized, mirrored = {}, {}
     for name in GRAPHS:
-        graph_rows, memoized[name] = measure(name)
+        graph_rows, memoized[name], mirrored[name] = measure(name)
         for row in graph_rows:
             print(json.dumps(row), flush=True)
         rows.extend(graph_rows)
@@ -89,14 +103,16 @@ def main() -> int:
     kernel_s = sum(row["kernel_s"] for row in searched)
     nodes = sum(row["nodes"] for row in searched)
     result = {
-        "what": "the exact solver per label budget on the search-hard graphs and K_9 minus (7,8): "
-                "root refutation or kernel search, nodes (exact), whether a labeling was found, "
-                "kernel seconds, and the graph's memoized depths",
+        "what": "the exact solver per label budget on the search-hard graphs, K_9 minus (7,8), "
+                "P_2 x C_15, GP(9,2) and GP(11,2): root refutation or kernel search, nodes (exact), "
+                "whether a labeling was found, kernel seconds, and the graph's memoized depths and "
+                "mirrored depths",
         "command": "PYTHONPATH=src python3 benchmarks/bench_search.py",
         "seconds": f"{UNIT}; each the median of {REPEATS} calls of dlucky._search.search",
         "total": {"nodes": nodes, "kernel_s": round(kernel_s, 6),
                   "nodes_per_s": round(nodes / kernel_s)},
         "memoized_depths": memoized,
+        "mirrored_depths": mirrored,
         "budgets": rows,
     }
     write(OUT, result)

@@ -102,10 +102,11 @@ def _hall_refutes(lo, hi, hall, ell, k) -> bool:
 def search(k, steps, slots, top):
     """Depth-first search for a conflict-free labeling into 1..k.
 
-    ``steps[d]`` is ``(v, neighbors of v, checks, hall, live)``: the vertex
-    placed at depth ``d``, the edges ``(u, w)`` whose two endpoint sums are
-    final once it is placed, ``hall``, which is None or ``(own, outside,
-    cliques)``, and ``live``, which is None or an ``itemgetter`` of sums.
+    ``steps[d]`` is ``(v, neighbors of v, checks, hall, live, mirror)``: the
+    vertex placed at depth ``d``, the edges ``(u, w)`` whose two endpoint
+    sums are final once it is placed, ``hall``, which is None or ``(own,
+    outside, cliques)``, and ``live`` and ``mirror``, each None or an
+    ``itemgetter`` of sums.
     ``slots[i]`` is the part of one vertex v of one clique Q, as
     :func:`clique_ranges` gives it; slot i keeps the range
     ``[lo[i], hi[i]]`` of ``t(v) = deg(v) - l(v) + sum of l(w) over w in
@@ -119,9 +120,13 @@ def search(k, steps, slots, top):
     ``live`` picks the sums that decide whether the labels not yet placed
     can complete a labeling; their values on entry to depth ``d`` are its
     key.  When the depth has tried every label, its key is recorded as
-    refuted; a later entry with a recorded key backtracks at once, places no
-    label and counts no node.  The keys are kept for this call only: they
-    hold for this ``k``.
+    refuted, and so is ``mirror(sums)`` when the depth has a mirror: the
+    sums are the entry sums again then, read through a graph automorphism
+    that makes their state as refuted as the key's (the solver's module
+    docstring gives the argument).  A later entry with a recorded key
+    backtracks at once, places no label and counts no node; a mirror adds
+    work only to a depth that runs out.  The keys are kept for this call
+    only: they hold for this ``k``.
 
     Labels are tried in increasing order, so the first labeling found is the
     lexicographically smallest in step order.  The labels of a depth are
@@ -146,7 +151,7 @@ def search(k, steps, slots, top):
     """
     n = len(steps)
     sums = [0] * n  # d-lucky sums: degree plus the labels placed on neighbors
-    for v, nbrs, _, _, _ in steps:
+    for v, nbrs, *_ in steps:
         sums[v] = len(nbrs)
     lo, hi = part_hulls(slots, k)
     labels = [0] * n
@@ -155,7 +160,7 @@ def search(k, steps, slots, top):
     keys = [None] * n  # each memoized depth's key on its latest entry
     nodes = 0
     depth = 0
-    v, nbrs, checks, hall, live = steps[0]  # depth 0 is entered once, so it needs no key
+    v, nbrs, checks, hall, live, mirror = steps[0]  # depth 0 is entered once, so it needs no key
     ell = start = 1  # the label on v's neighbor sums, and the first one of this visit
     for w in nbrs:
         sums[w] += 1
@@ -170,7 +175,7 @@ def search(k, steps, slots, top):
                 if depth == n - 1:
                     return labels, nodes
                 depth += 1
-                v, nbrs, checks, hall, live = steps[depth]
+                v, nbrs, checks, hall, live, mirror = steps[depth]
                 if live is not None:
                     keys[depth] = live(sums)
                 if live is None or keys[depth] not in refuted[depth]:
@@ -180,7 +185,7 @@ def search(k, steps, slots, top):
                     continue
                 # the same state failed before: place nothing, and the label above fails
                 depth -= 1
-                v, nbrs, checks, hall, live = steps[depth]
+                v, nbrs, checks, hall, live, mirror = steps[depth]
                 if hall is not None:
                     _shift(lo, hi, hall[0], hall[1], 1 - ell, ell - k)
                 start = ell + 1
@@ -192,8 +197,10 @@ def search(k, steps, slots, top):
             nodes += k - start + 1
             if live is not None:
                 refuted[depth].add(keys[depth])
+                if mirror is not None:  # the sums are the entry sums again
+                    refuted[depth].add(mirror(sums))
             depth -= 1
-            v, nbrs, checks, hall, live = steps[depth]
+            v, nbrs, checks, hall, live, mirror = steps[depth]
             ell = labels[v]
             if hall is not None:
                 _shift(lo, hi, hall[0], hall[1], 1 - ell, ell - k)

@@ -64,6 +64,55 @@ Checking at N(u) Δ N(v) leaves this argument as it is: a check still
 compares the current sums of two vertices with a check pending, and the
 labels still to come decide it.
 
+Mirrored keys.  Let σ be an automorphism of the graph that maps the
+vertices placed before depth d onto themselves.  It maps the unplaced
+vertices onto themselves too, so it maps an edge whose N(u) Δ N(v) holds an
+unplaced vertex, one with a check still to come, onto another such edge,
+and a vertex with a placed neighbor onto another: σ maps the live set at d
+onto itself.  Let labels M of the unplaced vertices complete the state with
+live sums s, and let s' and M' read s and M through σ: s'(x) = s(σx) and
+M'(y) = M(σy).  The final sum of x under s' and M' is s(σx) plus M over the
+images of x's unplaced neighbors, which are σx's unplaced neighbors: the
+final sum of σx under s and M.  So M' completes s', as σ maps the checks
+still to come onto themselves; with σ^-1 in place of σ, a completion of s'
+gives one of s.  When the search exhausts depth d, then, the sums s∘σ are
+refuted as well as s, and the kernel records both: its ``mirror`` reads the
+sums at σ(x) over the live vertices x, in the key's order, once every label
+of the depth has been taken off the sums and they are the entry sums again.
+Entries and lookups are unchanged, so a depth without a mirror costs
+nothing more.  A hit on a mirrored key skips a subtree without a labeling,
+as a hit on an own key does: each budget keeps its outcome and its first
+labeling, and ``nodes_explored`` can only fall.  This is symmetry breaking
+by dominance detection (Fahle, Schamberger and Sellmann, CP 2001; Focacci
+and Milano, CP 2001), on the states the memo already keeps.
+
+:func:`_symmetries` looks for such σ among the automorphisms that fix the
+first vertex of the order, within ``SYMMETRY_STEPS`` = 400 candidate images,
+and keeps at most ``SYMMETRIES_KEPT`` = 2 besides the identity;
+:func:`_mirrors` gives each memoized depth the first of them that maps the
+depth's placed vertices onto themselves and moves a live vertex (one that
+moves none would read the key itself).  Graphs with at most
+``MEMO_OFF_UP_TO`` vertices have no memo and look for no σ.  On the prisms
+P_2 x C_n the one σ is the reflection through vertex 0, which fixes the
+prefixes of half the memoized depths.  Memoized and mirrored depths, then
+nodes and solve times of ``exact_eta(g, n + 2)``, ms, median of 15 runs,
+with mirrors off (no σ looked for) and on, interleaved in one process
+(Python 3.11, shared 2-core x86_64)::
+
+    P_2 x C_11                     8     4   21,758    22.5   12,912    14.5
+    P_2 x C_13                    10     5   37,229    41.1   22,553    26.5
+    P_2 x C_15                    12     6   53,422    58.1   32,686    38.2
+    C_25                          20    10    1,112    1.31      758    1.32
+    GP(9,2)                        6     3    5,811    5.83    3,389    4.25
+    GP(11,2)                       9     4    9,734    10.2    5,346    6.74
+    600 random, 7-9 vertices     343    86   34,698     435   34,678     449
+
+Eta and witness are the same with mirrors off and on.  The 600 graphs are
+those of the memo table below; their states rarely repeat, and the σ
+search on the 229 of them with a memo, 12.6 ms, is most of the 14 ms they
+take more.  ``cocktail(2,6,1)`` is dense, so each vertex has many
+candidate images, and its 400 steps run out before a σ is found.
+
 The complement cut.  On a regular graph the search's first vertex v0 tries
 only the labels 1..(k + 1) // 2.  The complement ``l'(v) = k + 1 - l(v)`` of
 a labeling into 1..k is one too, with ``d'(u) = (k + 3) deg(u) - d(u)``.
@@ -81,8 +130,8 @@ interchangeable values (Freuder, AAAI 1991).
 
 Witnesses are the first labeling found, i.e. the lexicographically smallest
 one with respect to the search's vertex order; neither clique check, the part
-check, the memo nor the complement cut removes the first labeling, so none of
-them changes a witness.
+check, the memo, its mirrored keys nor the complement cut removes the first
+labeling, so none of them changes a witness.
 
 The search tests cliques of at least ``HALL_MIN_SIZE`` = 4 vertices: on a
 triangle the test costs more than the placements it saves.  Over the
@@ -158,6 +207,8 @@ from .labeling import Labeling
 DEFAULT_VERTEX_CAP = 16
 HALL_MIN_SIZE = 4
 MEMO_OFF_UP_TO = 6
+SYMMETRY_STEPS = 400
+SYMMETRIES_KEPT = 2
 
 
 def solver_backend() -> str:
@@ -180,7 +231,10 @@ class SolveResult(NamedTuple):
     exhausted over the labels 1..(k + 1) // 2 on its first vertex: by the complement cut (module docstring) a labeling
     that starts higher has a complement that starts lower.
     ``nodes_explored`` counts label placements over all budgets searched; a
-    budget refuted by the clique check adds none.
+    budget refuted by the clique check adds none.  The failure memo, with
+    the mirrored keys a graph automorphism gives it (module docstring),
+    skips only subtrees without a labeling: it lowers ``nodes_explored``
+    and changes no ``eta`` and no witness.
     """
 
     eta: int | None
@@ -197,8 +251,10 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tupl
     """The kernel's steps and t-slots, and whether the complement cut applies.
 
     Per BFS position: the vertex, its neighbors, its edge checks, its Hall
-    tables and its memo key (see :func:`_memo_keys`; graphs with at most
-    ``MEMO_OFF_UP_TO`` vertices have none).  Edge {u, v} is checked
+    tables, its memo key (see :func:`_live_sets`; graphs with at most
+    ``MEMO_OFF_UP_TO`` vertices have none) and its mirror (see
+    :func:`_mirrors`; None where no automorphism :func:`_symmetries` found
+    serves the depth).  Edge {u, v} is checked
     at the position of the last vertex of N(u) Δ N(v), where the difference
     of the two endpoint sums becomes final: the highest bit of the XOR of
     the two neighbor sets as bitmasks over positions.  The cut applies (see
@@ -240,13 +296,19 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tupl
         clique = itemgetter(*range(first, len(slots)))
         for w in moved:
             hall[w][2].append(clique)
-    memo = _memo_keys(bits, ready) if g.n > MEMO_OFF_UP_TO else [None] * g.n
-    steps = tuple([(v, adj[v], ready[d], hall.get(v), memo[d]) for d, v in enumerate(order)])
+    live = _live_sets(bits, ready) if g.n > MEMO_OFF_UP_TO else [None] * g.n
+    mirrors = [None] * g.n
+    if any(live):
+        mirrors = _mirrors(order, live, _symmetries(g, order))
+    steps = tuple([
+        (v, adj[v], ready[d], hall.get(v), live[d] and itemgetter(*live[d]), mirrors[d])
+        for d, v in enumerate(order)
+    ])
     return steps, tuple(slots), len(set(map(len, adj))) == 1
 
 
-def _memo_keys(bits, ready) -> list:
-    """Per depth d, None or an ``itemgetter`` of the sums live at d.
+def _live_sets(bits, ready) -> list:
+    """Per depth d, None or the vertices live at d, by index, if d is memoized.
 
     A vertex is live at d when it has an edge check at depth >= d and a
     neighbor placed before d.  Depth d >= 1, the last one included, is
@@ -263,12 +325,89 @@ def _memo_keys(bits, ready) -> list:
         for u, w in checks:
             final[u] = final[w] = d
     retiring = set(final)
-    memo: list = [None] * n
+    live: list = [None] * n
     for d in range(1, n):
-        live = [x for x in range(n) if first[x] < d <= final[x]]
-        if d - 1 in retiring and live:
-            memo[d] = itemgetter(*live)
-    return memo
+        if d - 1 in retiring:
+            live[d] = [x for x in range(n) if first[x] < d <= final[x]] or None
+    return live
+
+
+def _symmetries(g: Graph, order: list[int]) -> list[list[int]]:
+    """Up to ``SYMMETRIES_KEPT`` automorphisms of ``g`` that fix ``order[0]``, identity left out.
+
+    Each is the list of the vertices' images.  The search backtracks over
+    ``order``: a vertex's image is a neighbor of the image of its earliest
+    neighbor in the order (its BFS parent) with the vertex's degree, not yet
+    an image, and adjacent to the images of exactly the earlier vertices the
+    vertex is adjacent to; the first vertex of a later component is its own
+    image.  Each vertex tries itself first, so the identity comes first and
+    the next ones found fix the longest start of the order pointwise.  The
+    search gives up after ``SYMMETRY_STEPS`` candidate images.
+    """
+    adj = g._adj
+    n = g.n
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    nbits = [sum(1 << w for w in ws) for ws in adj]  # neighbor sets as bitmasks over vertices
+    identity = list(range(n))
+    sigma = identity[:]
+    used = 1 << order[0]  # the images of the vertices placed so far
+    found: list[list[int]] = []
+    steps = 0
+    tries: list = [None] * n  # per position, an iterator over its remaining candidate images
+    i, entering = 1, True
+    while i > 0:
+        x = order[i]
+        if entering:
+            earlier = [w for w in adj[x] if pos[w] < i]
+            pool = adj[sigma[min(earlier, key=pos.__getitem__)]] if earlier else (x,)
+            steps += len(pool)
+            if steps > SYMMETRY_STEPS:
+                break
+            want = sum(1 << sigma[w] for w in earlier)
+            fits = [c for c in pool
+                    if not used >> c & 1 and len(adj[c]) == len(adj[x]) and nbits[c] & used == want]
+            tries[i] = iter(sorted(fits, key=x.__ne__))
+        else:
+            used ^= 1 << sigma[x]
+        c = next(tries[i], None)
+        if c is None:
+            i, entering = i - 1, False
+            continue
+        sigma[x] = c
+        used |= 1 << c
+        if i < n - 1:
+            i, entering = i + 1, True
+            continue
+        entering = False  # a full image list: try x's next candidate
+        if sigma != identity:
+            found.append(sigma[:])
+            if len(found) == SYMMETRIES_KEPT:
+                break
+    return found
+
+
+def _mirrors(order: list[int], live: list, symmetries: list[list[int]]) -> list:
+    """Per depth d, None or an ``itemgetter`` of the sums at σ(x) over the vertices x live at d.
+
+    σ is the first of ``symmetries`` that maps the vertices placed before d
+    onto themselves and moves a vertex live at d; a depth without one, or
+    not memoized, gets None.  See the module docstring for why a key read
+    through σ is refuted with the depth's own key.
+    """
+    mirrors: list = [None] * len(order)
+    placed = 0  # the vertices before d, as a bitmask
+    images = [0] * len(symmetries)  # their images under each σ
+    for d, v in enumerate(order):
+        if live[d] is not None:
+            for sigma, image in zip(symmetries, images):
+                if image == placed and any(sigma[x] != x for x in live[d]):
+                    mirrors[d] = itemgetter(*[sigma[x] for x in live[d]])
+                    break
+        placed |= 1 << v
+        images = [image | 1 << sigma[v] for sigma, image in zip(symmetries, images)]
+    return mirrors
 
 
 def _root_structures(g: Graph, cliques: list[tuple[int, ...]]) -> list[list[tuple[int, int, int, int]]]:

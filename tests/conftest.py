@@ -25,6 +25,12 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): outer cycle 0..n-1, spokes i ~ n + i, inner edges n + i ~ n + (i + k) mod n."""
+    return Graph(2 * n, [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+                 + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
 def k_minus(n: int, *missing) -> Graph:
     """K_n without the edges in ``missing``, each given as ``(u, v)`` with u < v."""
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in missing])
@@ -97,6 +103,45 @@ def oracle_eta(g: Graph, max_k: int):
     return None
 
 
+def oracle_live(g: Graph, d: int):
+    """The state at depth ``d``, read off the graph alone, once the first d
+    vertices of the breadth-first order are placed: the neighbor sets, the
+    edges still to check (N(u) Δ N(v) holds an unplaced vertex), and the
+    live vertices by index, those with such an edge and a placed neighbor."""
+    placed = set(oracle_bfs_order(g)[:d])
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    pending = [(u, v) for u, v in g.edges if (nbrs[u] ^ nbrs[v]) - placed]
+    live = sorted({x for edge in pending for x in edge if nbrs[x] & placed})
+    return nbrs, pending, live
+
+
+def oracle_completable(g: Graph, k: int, d: int, keys) -> list:
+    """The keys of depth ``d`` whose state some labels into 1..k of the
+    vertices not yet placed complete, by trying every such labeling.
+
+    A key lists the sums of :func:`oracle_live`'s live vertices; every other
+    vertex with an edge still to check has no placed neighbor, so its degree
+    is its sum.  A completion gives the two ends of every such edge
+    different final sums."""
+    rest = oracle_bfs_order(g)[d:]
+    nbrs, pending, live = oracle_live(g, d)
+    ends = {x for edge in pending for x in edge}
+    completable = []
+    for key in keys:
+        sums = {x: len(nbrs[x]) for x in ends}
+        sums.update(zip(live, key if len(live) > 1 else (key,)))
+        for values in itertools.product(range(1, k + 1), repeat=len(rest)):
+            labels = dict(zip(rest, values))
+            final = {x: sums[x] + sum(labels.get(w, 0) for w in nbrs[x]) for x in ends}
+            if all(final[u] != final[v] for u, v in pending):
+                completable.append(key)
+                break
+    return completable
+
+
 def oracle_maximum_cliques(g: Graph):
     """All maximum cliques by scanning every vertex subset, largest first."""
     for size in range(g.n, 0, -1):
@@ -164,11 +209,14 @@ def corpus6_facts() -> tuple:
     )
 
 
-def reference_search(k, steps, slots, top):
+def reference_search(k, steps, slots, top, refuted=None):
     """The search kernel as a per-label loop: each label tried is added to the
     neighbor sums and, when refuted, subtracted again, and each counts one
-    node; depth 0 tries the labels 1..top only.  The kernel must return the
-    same ``(labels, nodes)``."""
+    node; depth 0 tries the labels 1..top only.  A depth that runs out, not
+    on a memo hit, records its key and, when it has a mirror, the mirror of
+    its sums.  The kernel must return the same ``(labels, nodes)``.  Pass a
+    ``collections.defaultdict(set)`` as ``refuted`` to read the keys
+    recorded per depth."""
     from dlucky._search import hall_fails, part_hulls
 
     def shift(lo, hi, own, outside, a, b):
@@ -181,20 +229,23 @@ def reference_search(k, steps, slots, top):
 
     n = len(steps)
     sums = [0] * n
-    for v, nbrs, _, _, _ in steps:
+    for v, nbrs, *_ in steps:
         sums[v] = len(nbrs)
     lo, hi = part_hulls(slots, k)
     labels = [0] * n
-    refuted = collections.defaultdict(set)
+    if refuted is None:
+        refuted = collections.defaultdict(set)
     keys = [None] * n
     nodes = 0
     depth = 0
     start = 1
     while True:
-        v, nbrs, checks, hall, live = steps[depth]
+        v, nbrs, checks, hall, live, mirror = steps[depth]
+        hit = False
         if live is not None and start == 1:
             keys[depth] = key = live(sums)
-            if key in refuted[depth]:
+            hit = key in refuted[depth]
+            if hit:
                 start = k + 1
         for ell in range(start, (top if depth == 0 else k) + 1):
             nodes += 1
@@ -219,12 +270,14 @@ def reference_search(k, steps, slots, top):
             for w in nbrs:
                 sums[w] -= ell
         else:
-            if live is not None:
+            if live is not None and not hit:
                 refuted[depth].add(keys[depth])
+                if mirror is not None:
+                    refuted[depth].add(mirror(sums))
             if depth == 0:
                 return None, nodes
             depth -= 1
-            v, nbrs, _, hall, _ = steps[depth]
+            v, nbrs, _, hall, *_ = steps[depth]
             ell = labels[v]
             for w in nbrs:
                 sums[w] -= ell

@@ -1,6 +1,8 @@
+import collections
 import importlib.util
 import itertools
 import random
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -25,11 +27,15 @@ from dlucky.bounds import enumerate_maximal_cliques
 from dlucky.solver import _clique_refutes, _root_structures, _setup, _top
 from conftest import (
     connected_graphs,
+    generalized_petersen,
     k_minus,
     oracle_eta,
     oracle_exists_labeling,
+    oracle_bfs_order,
+    oracle_completable,
     oracle_first_labeling,
     oracle_is_d_lucky,
+    oracle_live,
     random_graph,
     reference_search,
 )
@@ -126,10 +132,11 @@ def test_determinism_same_inputs_same_everything():
 def test_search_visit_order_is_pinned():
     # eta, nodes and witness of exact_eta(g, max_k=n+2, vertex_cap=n): node
     # counts and witnesses change with the order in which labels and vertices
-    # are tried, with the depth at which each edge is checked and with the
-    # depths the memo keys.  C_5, C_15 and the prisms are regular, so their
-    # first vertex tries the lower half of the labels only (62, 635, 4,617
-    # and 15,494 nodes without)
+    # are tried, with the depth at which each edge is checked, with the
+    # depths the memo keys and with the depths that also record a mirrored
+    # key (2,480 / 9,355 / 460 nodes on the prisms and C_15 without).  C_5,
+    # C_15 and the prisms are regular, so their first vertex tries the lower
+    # half of the labels only (62, 449, 2,865 and 9,038 nodes without)
     cases = [
         (complete_graph(6), 6, 21, [1, 2, 3, 4, 5, 6]),
         (cycle_graph(5), 3, 37, [1, 1, 2, 3, 1]),
@@ -137,11 +144,11 @@ def test_search_visit_order_is_pinned():
          [1, 1, 1, 1, 1, 2, 3, 4, 1, 2, 3, 4, 5, 1, 1, 1]),
         (build_cocktail(2, 4, 1).graph, 2, 21,
          [1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 1, 1]),
-        (cartesian_product(path_graph(2), cycle_graph(7)), 3, 2480,
+        (cartesian_product(path_graph(2), cycle_graph(7)), 3, 1502,
          [1, 1, 1, 1, 3, 1, 1, 1, 2, 1, 1, 1, 1, 2]),
-        (cartesian_product(path_graph(2), cycle_graph(9)), 3, 9355,
+        (cartesian_product(path_graph(2), cycle_graph(9)), 3, 5329,
          [1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 2]),
-        (cycle_graph(15), 3, 460, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
+        (cycle_graph(15), 3, 326, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
         # the part check refutes k = 2 at the root (405 nodes without it)
         (build_cocktail(2, 6, 1).graph, 3, 39,
          [1, 3, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 1, 1, 1, 1, 2, 2, 3, 3, 1, 1, 1, 1]),
@@ -164,25 +171,28 @@ def test_search_visit_order_is_pinned():
 def test_search_matches_the_per_label_reference():
     # the kernel steps each label by 1 and counts nodes once per visit to a
     # depth; the per-label loop it replaced must give the same labels and
-    # nodes at every budget up to eta, under the same depth-0 limit.  The
-    # random graphs have more than 6 vertices, so some have memo tables;
-    # K_6, K_8 minus (6, 7), cocktail(2,4,1) and HALL_MEMO take the Hall path, and
-    # the prism and HALL_MEMO have memo hits; the prism has a limit below k at k = 2, 3
+    # nodes at every budget up to eta, under the same depth-0 limit and with
+    # the same mirrors.  The random graphs have more than 6 vertices, so some
+    # have memo tables; K_6, K_8 minus (6, 7), cocktail(2,4,1) and HALL_MEMO
+    # take the Hall path, and the prism, GP(9,2) and HALL_MEMO have memo
+    # hits; the prism and GP(9,2) have mirrored depths, and the prism has a
+    # limit below k at k = 2, 3
     rng = random.Random(15)
     randoms = [random_graph(rng, rng.randint(7, 11), rng.uniform(0.1, 0.4)) for _ in range(60)]
     hall = [complete_graph(6), k_minus(8, (6, 7)), build_cocktail(2, 4, 1).graph, HALL_MEMO]
-    prism = cartesian_product(path_graph(2), cycle_graph(9))
-    memoized = hall_steps = capped = 0
-    for g in list(connected_graphs(5)) + randoms + hall + [prism]:
+    symmetric = [cartesian_product(path_graph(2), cycle_graph(9)), generalized_petersen(9, 2)]
+    memoized = mirrored = hall_steps = capped = 0
+    for g in list(connected_graphs(5)) + randoms + hall + symmetric:
         _, steps, slots, regular = _setup(g)
-        memoized += any(live is not None for *_, live in steps)
-        hall_steps += any(h is not None for _, _, _, h, _ in steps)
+        memoized += any(step[4] is not None for step in steps)
+        mirrored += sum(step[5] is not None for step in steps)
+        hall_steps += any(step[3] is not None for step in steps)
         eta = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n).eta
         for k in range(1, eta + 1):
             top = _top(k, regular)
             capped += top < k
             assert _search.search(k, steps, slots, top) == reference_search(k, steps, slots, top), (g, k)
-    assert memoized >= 10 and hall_steps >= 3 and capped >= 3
+    assert memoized >= 10 and mirrored >= 7 and hall_steps >= 3 and capped >= 3
 
 
 def test_the_complement_of_a_d_lucky_labeling_is_d_lucky_on_regular_graphs():
@@ -346,7 +356,7 @@ def test_memo_keys_every_depth_where_a_check_retires():
             at = max(pos[w] for w in nbrs[u] ^ nbrs[v])
             final[u] = max(final[u], at)
             final[v] = max(final[v], at)
-        for d, (*_, live) in enumerate(steps):
+        for d, (*_, live, _) in enumerate(steps):
             expected = [x for x in range(g.n)
                         if nbrs[x] and min(pos[w] for w in nbrs[x]) < d <= final[x]]
             if d >= 1 and d - 1 in final and expected:
@@ -360,7 +370,103 @@ def test_memo_keys_every_depth_where_a_check_retires():
         assert _setup(g)[1][-1][4] is not None  # the last depth is keyed too
     assert keyed_near_the_bottom > 50
     for g in connected_graphs(6):
-        assert all(live is None for *_, live in _setup(g)[1]), g
+        assert all(live is None for *_, live, _ in _setup(g)[1]), g
+
+
+def _prism(n):
+    return cartesian_product(path_graph(2), cycle_graph(n))
+
+
+def test_mirrors_read_the_sums_through_an_automorphism_that_fixes_the_prefix():
+    # derived from the graph alone: at every mirrored depth d, the mirror
+    # picks sums[σ(x)] over the vertices x live at d, in index order, for a
+    # σ other than the identity on them that maps the edge set and the
+    # first d vertices of the breadth-first order onto themselves.  The
+    # solver's own symmetries are the candidate σ, each checked whole
+    rng = random.Random(23)
+    randoms = [random_graph(rng, rng.randint(7, 12), rng.uniform(0.15, 0.6)) for _ in range(80)]
+    named = [_prism(n) for n in range(7, 14)] + [generalized_petersen(9, 2), generalized_petersen(11, 2)]
+    with_mirrors = []
+    for g in randoms + named:
+        order = oracle_bfs_order(g)
+        edges = {frozenset(e) for e in g.edges}
+        automorphisms = [sigma for sigma in solver._symmetries(g, order)
+                         if sorted(sigma) == list(range(g.n))
+                         and {frozenset((sigma[u], sigma[v])) for u, v in edges} == edges]
+        mirrors = [step[5] for step in _setup(g)[1]]
+        for d, mirror in enumerate(mirrors):
+            if mirror is None:
+                continue
+            live = oracle_live(g, d)[2]
+            picked = mirror(list(range(g.n)))
+            picked = list(picked) if len(live) > 1 else [picked]
+            assert picked != live, (g, d)
+            assert any([sigma[x] for x in live] == picked
+                       and {sigma[x] for x in order[:d]} == set(order[:d])
+                       for sigma in automorphisms), (g, d)
+        with_mirrors.append(any(mirrors))
+    assert all(with_mirrors[len(randoms):]) and sum(with_mirrors[:len(randoms)]) >= 10
+    assert sum(m is not None for *_, m in _setup(_prism(11))[1]) >= 4
+    assert sum(m is not None for *_, m in _setup(_prism(13))[1]) >= 5
+    for g in connected_graphs(6):
+        assert all(m is None for *_, m in _setup(g)[1]), g
+
+
+def _recorded_keys(steps, k):
+    """Per depth, the keys the per-label reference records as refuted at budget k on a
+    regular graph, and its nodes."""
+    refuted = collections.defaultdict(set)
+    _, nodes = reference_search(k, steps, (), _top(k, True), refuted)
+    return refuted, nodes
+
+
+def test_every_recorded_key_is_refuted_and_a_wrong_mirror_records_a_completable_one():
+    # checked key by key with the brute-force completion oracle at k = 2 on
+    # P_2 x C_5 and P_2 x C_7: the solver's mirrors record only keys without
+    # a completion, and prune more than the own keys alone.  Two mutants
+    # whose σ does not fix the prefix must record a completable key: the
+    # rotation by one, which does not even fix vertex 0, and the reflection
+    # through vertex 0 at every memoized depth, also where it moves the prefix
+    for n in (5, 7):
+        g = _prism(n)
+        steps = _setup(g)[1]
+        rotation = [a * n + (x + 1) % n for a in range(2) for x in range(n)]
+        reflection = [a * n + -x % n for a in range(2) for x in range(n)]
+
+        def mirrored_by(sigma):  # sigma at every memoized depth
+            return [step[:5] + (step[4] and itemgetter(*[sigma[x] for x in oracle_live(g, d)[2]]),)
+                    for d, step in enumerate(steps)]
+
+        def completable(recorded):
+            return sum(len(oracle_completable(g, 2, d, keys)) for d, keys in recorded.items())
+
+        _, own_nodes = _recorded_keys([step[:5] + (None,) for step in steps], 2)
+        recorded, nodes = _recorded_keys(steps, 2)
+        assert nodes < own_nodes, n
+        assert completable(recorded) == 0, n
+        for sigma in (rotation, reflection):
+            assert completable(_recorded_keys(mirrored_by(sigma), 2)[0]) > 0, (n, sigma)
+
+
+def test_mirrors_keep_eta_and_witness_and_never_add_nodes(monkeypatch):
+    # with a σ-search budget of 0 no graph gets a mirror; with mirrors on,
+    # eta and the witness must stay and the nodes may only fall
+    rng = random.Random(24)
+    randoms = [random_graph(rng, rng.randint(7, 12), rng.uniform(0.15, 0.7)) for _ in range(100)]
+    named = ([cycle_graph(n) for n in range(7, 21)] + [_prism(n) for n in range(4, 13)]
+             + [generalized_petersen(n, 2) for n in range(5, 12)])
+    graphs = randoms + named
+    monkeypatch.setattr(solver, "SYMMETRY_STEPS", 0)
+    assert all(step[5] is None for g in named for step in _setup(g)[1])
+    off = [exact_eta(g, max_k=g.n + 2, vertex_cap=g.n) for g in graphs]
+    monkeypatch.undo()
+    saved = 0
+    for g, before in zip(graphs, off):
+        res = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
+        assert (res.eta, list(res.witness.labels)) == (before.eta, list(before.witness.labels)), g
+        assert res.nodes_explored <= before.nodes_explored, g
+        saved += before.nodes_explored - res.nodes_explored
+    assert saved > 0
 
 
 def test_vertex_cap_enforced_and_adjustable():
