@@ -12,7 +12,8 @@ edge counts and the reference seconds (``record.py``), each the median of
 :class:`dlucky.Graph` on the final edge list (sorted already, the sort's
 best case; the builders hand it a few sorted runs), :func:`dlucky.verify` of
 the family's labeling, the graph's JSON round trip, and the decode alone
-(:func:`dlucky.graph_from_json` on the canonical text).  It checks that the
+(:func:`dlucky.graph_from_json` on the canonical text, with the garbage
+collected before each call, outside the timed region).  It checks that the
 constructor and the round trip give the graph back.
 
 Memory is read with :mod:`tracemalloc` in separate, untimed calls: the MB
@@ -76,7 +77,9 @@ def measure(family: str, params: tuple) -> dict:
     if (back.n, back.edges, back.tags) != (g.n, g.edges, g.tags):
         raise AssertionError(f"{what}: the JSON round trip changed the graph")
     text = dlucky.graph_to_json(g)
-    decoded, decode_s = timed(REPEATS, dlucky.graph_from_json, text)
+    # the decode allocates about twice the graph's size per call: collect the
+    # previous calls' garbage first, so that no call pays for another's
+    decoded, decode_s = timed(REPEATS, dlucky.graph_from_json, text, before=gc.collect)
     if decoded != g or decoded.tags != g.tags:
         raise AssertionError(f"{what}: the decode changed the graph")
     build_held, build_peak = traced(getattr(dlucky, f"build_{family}"), *params)

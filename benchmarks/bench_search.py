@@ -5,11 +5,12 @@ Run from the root of a source checkout::
 
     PYTHONPATH=src python3 benchmarks/bench_search.py
 
-and it writes ``benchmarks/BENCH_23.json`` (``BENCH_20.json`` is the record
-from before depths recorded a mirrored key, ``BENCH_18.json`` from before
-the memo keyed every depth where an edge check retires, and
-``BENCH_15.json`` from before the complement cut and the symmetric-difference
-edge checks).
+and it writes ``benchmarks/BENCH_24.json`` (``BENCH_23.json`` is the record
+from before the mirrored depths of regular graphs recorded complement
+images, ``BENCH_20.json`` from before depths recorded a mirrored key,
+``BENCH_18.json`` from before the memo keyed every depth where an edge
+check retires, and ``BENCH_15.json`` from before the complement cut and the
+symmetric-difference edge checks).
 The graphs are the six of the benchmark's search-hard workload, K_9 minus
 the edge (7, 8), P_2 x C_15 and the generalized Petersen graphs GP(9,2) and
 GP(11,2), built with ``dlucky``'s own constructors.
@@ -18,8 +19,9 @@ For each budget k from 1 to eta it records whether the root checks
 the kernel's nodes and whether it found a labeling, and the median
 reference seconds (``record.py``) of ``REPEATS`` kernel calls, all on the
 structures and steps of :func:`dlucky.solver._setup`, as the solver builds
-them; per graph, it records the number of depths that carry a memo key and
-the number of those that also record a mirrored key.
+them; per graph, it records the number of depths that carry a memo key,
+the number of those that also record a mirrored key and the number of those
+that also record complement images.
 Node counts do not depend on the machine, so they are checked exactly: per
 graph they must sum to ``exact_eta``'s ``nodes_explored`` and to ``NODES``,
 and the first labeling found must verify.
@@ -34,7 +36,7 @@ import dlucky
 from dlucky import _search
 from dlucky.solver import _clique_refutes, _setup, _top
 
-OUT = Path(__file__).resolve().parent / "BENCH_23.json"
+OUT = Path(__file__).resolve().parent / "BENCH_24.json"
 REPEATS = 5
 GRAPHS = {
     "K_8": lambda: dlucky.complete_graph(8),
@@ -50,10 +52,10 @@ GRAPHS = {
     "GP(11,2)": lambda: generalized_petersen(11, 2),
 }
 # search nodes of exact_eta(g, max_k=n+2) on each graph; the first six make
-# a search-hard pass, 35,612 nodes
+# a search-hard pass, 25,098 nodes
 NODES = {"K_8": 36, "corona(9,1)": 38, "corona(7,2)": 34, "cocktail(2,6,1)": 39,
-         "prism(11)": 12912, "prism(13)": 22553, "K_9 minus (7,8)": 35,
-         "prism(15)": 32686, "GP(9,2)": 3389, "GP(11,2)": 5346}
+         "prism(11)": 9740, "prism(13)": 15211, "K_9 minus (7,8)": 35,
+         "prism(15)": 19974, "GP(9,2)": 3389, "GP(11,2)": 5332}
 
 
 def generalized_petersen(n: int, k: int) -> dlucky.Graph:
@@ -62,14 +64,15 @@ def generalized_petersen(n: int, k: int) -> dlucky.Graph:
                         + [(n + i, n + (i + k) % n) for i in range(n)])
 
 
-def measure(name: str) -> tuple[list[dict], int, int]:
+def measure(name: str) -> tuple[list[dict], dict]:
     from record import timed  # here, not at the top: tests load this file by path
 
     g = GRAPHS[name]()
     solved = dlucky.exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
     structures, steps, slots, regular = _setup(g)
-    memoized = sum(live is not None for *_, live, _ in steps)
-    mirrored = sum(mirror is not None for *_, mirror in steps)
+    memos = [memo for *_, memo in steps if memo is not None]
+    depths = {"memoized": len(memos), "mirrored": sum(memo[1] is not None for memo in memos),
+              "complemented": sum(memo[2] is not None for memo in memos)}
     rows = []
     for k in range(1, solved.eta + 1):
         row = {"graph": name, "vertices": g.n, "edges": g.edge_count, "k": k}
@@ -86,16 +89,18 @@ def measure(name: str) -> tuple[list[dict], int, int]:
         raise AssertionError(f"{name}: a labeling must be found at k = eta = {solved.eta} alone")
     if nodes != solved.nodes_explored or nodes != NODES[name]:
         raise AssertionError(f"{name}: {nodes} nodes, exact_eta {solved.nodes_explored}, expected {NODES[name]}")
-    return rows, memoized, mirrored
+    return rows, depths
 
 
 def main() -> int:
     from record import UNIT, write
 
     rows = []
-    memoized, mirrored = {}, {}
+    depths = {"memoized": {}, "mirrored": {}, "complemented": {}}
     for name in GRAPHS:
-        graph_rows, memoized[name], mirrored[name] = measure(name)
+        graph_rows, counts = measure(name)
+        for kind, count in counts.items():
+            depths[kind][name] = count
         for row in graph_rows:
             print(json.dumps(row), flush=True)
         rows.extend(graph_rows)
@@ -105,14 +110,15 @@ def main() -> int:
     result = {
         "what": "the exact solver per label budget on the search-hard graphs, K_9 minus (7,8), "
                 "P_2 x C_15, GP(9,2) and GP(11,2): root refutation or kernel search, nodes (exact), "
-                "whether a labeling was found, kernel seconds, and the graph's memoized depths and "
-                "mirrored depths",
+                "whether a labeling was found, kernel seconds, and the graph's memoized depths, "
+                "mirrored depths and depths that record complement images",
         "command": "PYTHONPATH=src python3 benchmarks/bench_search.py",
         "seconds": f"{UNIT}; each the median of {REPEATS} calls of dlucky._search.search",
         "total": {"nodes": nodes, "kernel_s": round(kernel_s, 6),
                   "nodes_per_s": round(nodes / kernel_s)},
-        "memoized_depths": memoized,
-        "mirrored_depths": mirrored,
+        "memoized_depths": depths["memoized"],
+        "mirrored_depths": depths["mirrored"],
+        "complemented_depths": depths["complemented"],
         "budgets": rows,
     }
     write(OUT, result)

@@ -23,10 +23,15 @@ UNIT = (f"reference seconds (perfbench/timing.py): wall seconds scaled to a mach
         f"reference loop, timed just before and after each call, takes {REFERENCE_S} s")
 
 
-def timed(repeats: int, fn, *args):
-    """The result of ``fn(*args)`` and the median reference seconds of ``repeats`` calls."""
+def timed(repeats: int, fn, *args, before=None):
+    """The result of ``fn(*args)`` and the median reference seconds of ``repeats`` calls.
+
+    ``before``, when given, is called before each call, outside the timed region.
+    """
     times = []
     for _ in range(repeats):  # no list of results: large ones kept alive slow the collector
+        if before is not None:
+            before()
         result, seconds = calibrated(lambda: fn(*args))
         times.append(seconds)
     return result, statistics.median(times)

@@ -7,6 +7,8 @@ kernel's clique test and :mod:`dlucky.parts` all take their ranges from here.
 
 from __future__ import annotations
 
+from operator import itemgetter, sub
+
 
 def hall_fails(los, his) -> tuple[int, int] | None:
     """An interval ``[a, b]`` holding ``b - a + 2`` of the ranges ``[los[i], his[i]]``, or None.
@@ -99,14 +101,39 @@ def _hall_refutes(lo, hi, hall, ell, k) -> bool:
     return False
 
 
+_memo = itemgetter(4)  # a step's memo entry
+
+
+def memo_tables(steps, k) -> tuple[list, list]:
+    """:func:`search`'s per-call memo tables: per depth, ``refuted`` and ``complements``.
+
+    ``refuted[d]`` is an empty set, to hold the keys refuted at d, where
+    depth d is memoized, and None elsewhere.  ``complements[d]`` is
+    ``C_d``, the sums ``C_d(x) = 2 deg(x) + (k + 1) p_d(x)`` over the
+    vertices x live at d, where the memo entry of depth d has the pairs
+    ``(2 deg(x), p_d(x))`` that make it, and None elsewhere.
+    """
+    refuted: list = [None] * len(steps)
+    complements: list = [None] * len(steps)
+    for d, step in enumerate(steps):
+        memo = step[4]
+        if memo is not None:
+            refuted[d] = set()
+            if memo[2] is not None:
+                complements[d] = tuple([twice + (k + 1) * placed for twice, placed in memo[2]])
+    return refuted, complements
+
+
 def search(k, steps, slots, top):
     """Depth-first search for a conflict-free labeling into 1..k.
 
-    ``steps[d]`` is ``(v, neighbors of v, checks, hall, live, mirror)``: the
-    vertex placed at depth ``d``, the edges ``(u, w)`` whose two endpoint
-    sums are final once it is placed, ``hall``, which is None or ``(own,
-    outside, cliques)``, and ``live`` and ``mirror``, each None or an
-    ``itemgetter`` of sums.
+    ``steps[d]`` is ``(v, neighbors of v, checks, hall, memo)``: the vertex
+    placed at depth ``d``, the edges ``(u, w)`` whose two endpoint sums are
+    final once it is placed, ``hall``, which is None or ``(own, outside,
+    cliques)``, and ``memo``, which is None or ``(live, mirror,
+    complement)``: ``live`` is an ``itemgetter`` of sums, ``mirror`` is
+    None or one, and ``complement`` is None or the pairs from which
+    :func:`memo_tables` makes ``C_d``.
     ``slots[i]`` is the part of one vertex v of one clique Q, as
     :func:`clique_ranges` gives it; slot i keeps the range
     ``[lo[i], hi[i]]`` of ``t(v) = deg(v) - l(v) + sum of l(w) over w in
@@ -119,14 +146,20 @@ def search(k, steps, slots, top):
 
     ``live`` picks the sums that decide whether the labels not yet placed
     can complete a labeling; their values on entry to depth ``d`` are its
-    key.  When the depth has tried every label, its key is recorded as
-    refuted, and so is ``mirror(sums)`` when the depth has a mirror: the
-    sums are the entry sums again then, read through a graph automorphism
-    that makes their state as refuted as the key's (the solver's module
-    docstring gives the argument).  A later entry with a recorded key
-    backtracks at once, places no label and counts no node; a mirror adds
-    work only to a depth that runs out.  The keys are kept for this call
-    only: they hold for this ``k``.
+    key.  When the depth has tried every label, the sums are the entry sums
+    again, so ``live(sums)`` is the key once more, and it is recorded as
+    refuted.  So is ``mirror(sums)`` when the depth has a mirror: the sums
+    read through a graph automorphism that makes their state as refuted as
+    the key's.  Where the memo entry has complement pairs as well, so are
+    the complement images ``C_d - key`` and ``C_d - mirror(sums)``, which
+    relabeling the unplaced vertices with ``k + 1 - l`` maps to the key's
+    and the mirror's state on a regular graph (the solver's module docstring
+    gives both arguments).  A later entry with a recorded key backtracks at
+    once, places no label and counts no node; mirrors and complement images
+    add work only to a depth that runs out.  The keys are kept for this call
+    only: they hold for this ``k``.  The memo tables are built only when
+    some step has a memo entry, and the slots' ranges only when there are
+    slots.
 
     Labels are tried in increasing order, so the first labeling found is the
     lexicographically smallest in step order.  The labels of a depth are
@@ -151,16 +184,18 @@ def search(k, steps, slots, top):
     """
     n = len(steps)
     sums = [0] * n  # d-lucky sums: degree plus the labels placed on neighbors
-    for v, nbrs, *_ in steps:
-        sums[v] = len(nbrs)
-    lo, hi = part_hulls(slots, k)
+    for step in steps:
+        sums[step[0]] = len(step[1])
+    lo = hi = None  # the slots' t-ranges, where there are slots
+    if slots:
+        lo, hi = part_hulls(slots, k)
+    refuted = complements = None  # see memo_tables, where some depth is memoized
+    if any(map(_memo, steps)):
+        refuted, complements = memo_tables(steps, k)
     labels = [0] * n
-    # per memoized depth, the keys whose subtree holds no labeling
-    refuted = [None if step[4] is None else set() for step in steps]
-    keys = [None] * n  # each memoized depth's key on its latest entry
     nodes = 0
     depth = 0
-    v, nbrs, checks, hall, live, mirror = steps[0]  # depth 0 is entered once, so it needs no key
+    v, nbrs, checks, hall, memo = steps[0]  # depth 0 is entered once, so it needs no key
     ell = start = 1  # the label on v's neighbor sums, and the first one of this visit
     for w in nbrs:
         sums[w] += 1
@@ -175,17 +210,15 @@ def search(k, steps, slots, top):
                 if depth == n - 1:
                     return labels, nodes
                 depth += 1
-                v, nbrs, checks, hall, live, mirror = steps[depth]
-                if live is not None:
-                    keys[depth] = live(sums)
-                if live is None or keys[depth] not in refuted[depth]:
+                v, nbrs, checks, hall, memo = steps[depth]
+                if memo is None or memo[0](sums) not in refuted[depth]:
                     ell = start = 1
                     for w in nbrs:
                         sums[w] += 1
                     continue
                 # the same state failed before: place nothing, and the label above fails
                 depth -= 1
-                v, nbrs, checks, hall, live, mirror = steps[depth]
+                v, nbrs, checks, hall, memo = steps[depth]
                 if hall is not None:
                     _shift(lo, hi, hall[0], hall[1], 1 - ell, ell - k)
                 start = ell + 1
@@ -195,12 +228,20 @@ def search(k, steps, slots, top):
             for w in nbrs:
                 sums[w] -= k
             nodes += k - start + 1
-            if live is not None:
-                refuted[depth].add(keys[depth])
-                if mirror is not None:  # the sums are the entry sums again
-                    refuted[depth].add(mirror(sums))
+            if memo is not None:  # the sums are the entry sums again
+                live, mirror, _ = memo
+                seen = refuted[depth]
+                key = live(sums)
+                seen.add(key)
+                if mirror is not None:
+                    image = mirror(sums)
+                    seen.add(image)
+                    complement = complements[depth]
+                    if complement is not None:
+                        seen.add(tuple(map(sub, complement, key)))
+                        seen.add(tuple(map(sub, complement, image)))
             depth -= 1
-            v, nbrs, checks, hall, live, mirror = steps[depth]
+            v, nbrs, checks, hall, memo = steps[depth]
             ell = labels[v]
             if hall is not None:
                 _shift(lo, hi, hall[0], hall[1], 1 - ell, ell - k)

@@ -89,15 +89,16 @@ and Milano, CP 2001), on the states the memo already keeps.
 :func:`_symmetries` looks for such σ among the automorphisms that fix the
 first vertex of the order, within ``SYMMETRY_STEPS`` = 400 candidate images,
 and keeps at most ``SYMMETRIES_KEPT`` = 2 besides the identity;
-:func:`_mirrors` gives each memoized depth the first of them that maps the
+:func:`_memos` gives each memoized depth the first of them that maps the
 depth's placed vertices onto themselves and moves a live vertex (one that
 moves none would read the key itself).  Graphs with at most
 ``MEMO_OFF_UP_TO`` vertices have no memo and look for no σ.  On the prisms
 P_2 x C_n the one σ is the reflection through vertex 0, which fixes the
 prefixes of half the memoized depths.  Memoized and mirrored depths, then
 nodes and solve times of ``exact_eta(g, n + 2)``, ms, median of 15 runs,
-with mirrors off (no σ looked for) and on, interleaved in one process
-(Python 3.11, shared 2-core x86_64)::
+with mirrors off (no σ looked for) and on, interleaved in one process,
+before complement images were recorded (Python 3.11, shared 2-core
+x86_64)::
 
     P_2 x C_11                     8     4   21,758    22.5   12,912    14.5
     P_2 x C_13                    10     5   37,229    41.1   22,553    26.5
@@ -128,10 +129,62 @@ P_2 x C_11 and P_2 x C_13 fall from 31,263 and 47,504 nodes to 21,758 and
 This is the lex-leader rule (Crawford, Ginsberg, Luks and Roy, KR 1996) for
 interchangeable values (Freuder, AAAI 1991).
 
+Complement images.  The same relabeling maps refuted memo states to refuted
+states.  Let the graph be regular, take the state at depth d with live sums
+s, and let ``p_d(x)`` be the number of neighbors of x placed before d.  If
+labels M of the unplaced vertices complete s, relabel them with
+k + 1 - M and start from the live sums ``C_d - s``, where
+``C_d(x) = 2 deg(x) + (k + 1) p_d(x)``.  The final sum of x, F(x) under s
+and M, becomes ``C_d(x) - s(x) + (k + 1)(deg(x) - p_d(x)) - (M over the
+unplaced neighbors of x) = (k + 3) deg(x) - F(x)``.  A vertex with no placed
+neighbor has the sum ``C_d(x) - deg(x) = deg(x)`` either way, so it stays
+out of the key.  On a regular graph ``(k + 3) deg(x)`` is one number, so the
+two ends of an edge still to check have equal final sums under the
+relabeling exactly when they have under M.  So ``k + 1 - M`` completes
+``C_d - s`` exactly when M completes s, and when the search exhausts depth
+d, ``C_d - s`` is refuted with s.  At a
+mirrored depth σ fixes the placed prefix, so it keeps each vertex's degree
+and its number of placed neighbors: ``C_d∘σ = C_d``, and ``C_d - s∘σ`` is
+refuted too.  When a mirrored depth of a regular graph runs out, the kernel
+records these two complement images beside the key and its mirror.  The
+memo entry holds the pairs ``(2 deg(x), p_d(x))`` over the live vertices,
+read off :func:`_prepare`'s position bitmasks, and
+:func:`_search.memo_tables` makes ``C_d`` from them once per search call.
+Entries and lookups are unchanged, each budget keeps its outcome and its
+first labeling, and ``nodes_explored`` can only fall.  This is dominance
+detection on values (Freuder, AAAI 1991; Fahle, Schamberger and Sellmann,
+CP 2001).  ``C_d - s`` is also the state of the complemented prefix,
+``k + 1 - l`` on the placed vertices, whose first label the complement cut
+skips when the prefix's is below the middle; so a complement image is hit
+only when another prefix reaches the same sums.  Nodes and solve times of
+``exact_eta(g, n + 2)``, ms, with complement images off, at the mirrored
+depths (the rule) and at every memoized depth, the last two with the depths
+that record them; median of 8 runs, each a process of its own that takes
+the median of 15 solves (3 for the 420 graphs), the three interleaved
+(Python 3.11, shared 2-core x86_64)::
+
+                                     off         mirrored depths        every depth
+    P_2 x C_11              12,912  8.46    4   9,740  8.09    8   9,338  8.63
+    P_2 x C_13              22,553  14.6    5  15,211  12.3   10  14,707  14.7
+    P_2 x C_15              32,686  21.5    6  19,974  16.0   12  19,488  17.8
+    C_25                       758  0.76   10     466  0.77   20     464  0.85
+    GP(9,2)                  3,389  2.68    3   3,389  3.59    6   3,389  3.99
+    GP(11,2)                 5,346  4.27    4   5,332  5.61    9   5,324  6.55
+    Möbius ladder, 24       15,444  11.5    4  10,976  10.1   12  10,306  11.5
+    search-hard pass        35,612  29.8       25,098  25.9       24,192  28.2
+    420 random regular      88,089   118       86,577   116       86,463   124
+
+Eta and witness are the same in all three columns.  Every memoized depth
+cuts a few more nodes than the mirrored ones alone, but records images at
+twice as many depths and is slower on every row; the rule is the mirrored
+depths.  On GP(9,2) and GP(11,2) the images are recorded and almost
+never hit, and cost a third more time.  (The 420 regular graphs are
+connected, with degree 2-5 and 7-14 vertices, random pairings, seed 1.)
+
 Witnesses are the first labeling found, i.e. the lexicographically smallest
 one with respect to the search's vertex order; neither clique check, the part
-check, the memo, its mirrored keys nor the complement cut removes the first
-labeling, so none of them changes a witness.
+check, the memo, its mirrored keys and complement images nor the complement
+cut removes the first labeling, so none of them changes a witness.
 
 The search tests cliques of at least ``HALL_MIN_SIZE`` = 4 vertices: on a
 triangle the test costs more than the placements it saves.  Over the
@@ -232,9 +285,10 @@ class SolveResult(NamedTuple):
     that starts higher has a complement that starts lower.
     ``nodes_explored`` counts label placements over all budgets searched; a
     budget refuted by the clique check adds none.  The failure memo, with
-    the mirrored keys a graph automorphism gives it (module docstring),
-    skips only subtrees without a labeling: it lowers ``nodes_explored``
-    and changes no ``eta`` and no witness.
+    the mirrored keys a graph automorphism gives it and, on a regular
+    graph, their complement images (module docstring), skips only
+    subtrees without a labeling: it lowers ``nodes_explored`` and changes
+    no ``eta`` and no witness.
     """
 
     eta: int | None
@@ -251,10 +305,11 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tupl
     """The kernel's steps and t-slots, and whether the complement cut applies.
 
     Per BFS position: the vertex, its neighbors, its edge checks, its Hall
-    tables, its memo key (see :func:`_live_sets`; graphs with at most
-    ``MEMO_OFF_UP_TO`` vertices have none) and its mirror (see
-    :func:`_mirrors`; None where no automorphism :func:`_symmetries` found
-    serves the depth).  Edge {u, v} is checked
+    tables and its memo entry (see :func:`_memos`: the key over the live
+    vertices of :func:`_live_sets`, a mirror where an automorphism
+    :func:`_symmetries` found serves the depth, and complement pairs at the
+    mirrored depths of a regular graph; graphs with at most
+    ``MEMO_OFF_UP_TO`` vertices have no memo).  Edge {u, v} is checked
     at the position of the last vertex of N(u) Δ N(v), where the difference
     of the two endpoint sums becomes final: the highest bit of the XOR of
     the two neighbor sets as bitmasks over positions.  The cut applies (see
@@ -297,14 +352,12 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tupl
         for w in moved:
             hall[w][2].append(clique)
     live = _live_sets(bits, ready) if g.n > MEMO_OFF_UP_TO else [None] * g.n
-    mirrors = [None] * g.n
+    regular = len(set(map(len, adj))) == 1
+    memos = [None] * g.n
     if any(live):
-        mirrors = _mirrors(order, live, _symmetries(g, order))
-    steps = tuple([
-        (v, adj[v], ready[d], hall.get(v), live[d] and itemgetter(*live[d]), mirrors[d])
-        for d, v in enumerate(order)
-    ])
-    return steps, tuple(slots), len(set(map(len, adj))) == 1
+        memos = _memos(order, bits, live, _symmetries(g, order), regular)
+    steps = tuple([(v, adj[v], ready[d], hall.get(v), memos[d]) for d, v in enumerate(order)])
+    return steps, tuple(slots), regular
 
 
 def _live_sets(bits, ready) -> list:
@@ -388,26 +441,39 @@ def _symmetries(g: Graph, order: list[int]) -> list[list[int]]:
     return found
 
 
-def _mirrors(order: list[int], live: list, symmetries: list[list[int]]) -> list:
-    """Per depth d, None or an ``itemgetter`` of the sums at σ(x) over the vertices x live at d.
+def _memos(order: list[int], bits: list[int], live: list, symmetries: list[list[int]],
+           regular: bool) -> list:
+    """Per depth d, None or the memo entry ``(key, mirror, complement)`` of a memoized depth.
 
-    σ is the first of ``symmetries`` that maps the vertices placed before d
-    onto themselves and moves a vertex live at d; a depth without one, or
-    not memoized, gets None.  See the module docstring for why a key read
-    through σ is refuted with the depth's own key.
+    ``key`` is an ``itemgetter`` of the sums of the vertices live at d.
+    ``mirror`` is None or an ``itemgetter`` of the sums at σ(x) over those
+    x, for σ the first of ``symmetries`` that maps the vertices placed
+    before d onto themselves and moves a vertex live at d.  ``complement``
+    is None, or at a mirrored depth of a regular graph the pairs
+    ``(2 deg(x), p_d(x))`` over those x, with p_d(x) the neighbors of x
+    placed before d, read off :func:`_prepare`'s bitmasks ``bits``: the
+    search makes ``C_d(x) = 2 deg(x) + (k + 1) p_d(x)`` from them.  See the
+    module docstring for why a key read through σ, and its complement
+    ``C_d - key``, are refuted with the depth's own key.
     """
-    mirrors: list = [None] * len(order)
+    memos: list = [None] * len(order)
     placed = 0  # the vertices before d, as a bitmask
     images = [0] * len(symmetries)  # their images under each σ
     for d, v in enumerate(order):
         if live[d] is not None:
+            mirror = complement = None
             for sigma, image in zip(symmetries, images):
                 if image == placed and any(sigma[x] != x for x in live[d]):
-                    mirrors[d] = itemgetter(*[sigma[x] for x in live[d]])
+                    mirror = itemgetter(*[sigma[x] for x in live[d]])
                     break
+            if mirror is not None and regular:
+                before = (1 << d) - 1  # the positions placed before d
+                complement = tuple([(2 * bits[x].bit_count(), (bits[x] & before).bit_count())
+                                    for x in live[d]])
+            memos[d] = (itemgetter(*live[d]), mirror, complement)
         placed |= 1 << v
         images = [image | 1 << sigma[v] for sigma, image in zip(symmetries, images)]
-    return mirrors
+    return memos
 
 
 def _root_structures(g: Graph, cliques: list[tuple[int, ...]]) -> list[list[tuple[int, int, int, int]]]:

@@ -25,6 +25,21 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def random_regular_graph(rng: random.Random, n: int, r: int) -> Graph:
+    """A connected r-regular graph on n vertices: random pairings of r stubs per
+    vertex, drawn again until one has no loop, no repeated edge and one component."""
+    from dlucky import is_connected
+
+    while True:
+        stubs = [v for v in range(n) for _ in range(r)]
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2]) if u != v}
+        if len(edges) == n * r // 2:
+            g = Graph(n, sorted(edges))
+            if is_connected(g):
+                return g
+
+
 def generalized_petersen(n: int, k: int) -> Graph:
     """GP(n, k): outer cycle 0..n-1, spokes i ~ n + i, inner edges n + i ~ n + (i + k) mod n."""
     return Graph(2 * n, [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
@@ -120,25 +135,46 @@ def oracle_live(g: Graph, d: int):
 
 def oracle_completable(g: Graph, k: int, d: int, keys) -> list:
     """The keys of depth ``d`` whose state some labels into 1..k of the
-    vertices not yet placed complete, by trying every such labeling.
+    vertices not yet placed complete, by trying the labels of those vertices
+    one by one in breadth-first order.
 
     A key lists the sums of :func:`oracle_live`'s live vertices; every other
     vertex with an edge still to check has no placed neighbor, so its degree
     is its sum.  A completion gives the two ends of every such edge
-    different final sums."""
-    rest = oracle_bfs_order(g)[d:]
-    nbrs, pending, live = oracle_live(g, d)
-    ends = {x for edge in pending for x in edge}
+    different final sums.  Once the first j vertices are placed, an edge
+    whose N(u) Δ N(v) they hold has final sums that differ by its current
+    ones (the unplaced neighbors are common), so it is checked then; what
+    is left to decide depends only on j and the current sums of the ends of
+    the edges not yet checked, and the answer for each such state is kept."""
+    order = oracle_bfs_order(g)
+    nbrs, _, live = oracle_live(g, d)
+    pending = [oracle_live(g, j)[1] for j in range(g.n + 1)]
+    ends = [sorted({x for edge in edges for x in edge}) for edges in pending]
+    decided = [[e for e in pending[j] if e not in pending[j + 1]] for j in range(g.n)]
+    known = {}
+
+    def completes(j, sums):
+        if j == g.n:
+            return True
+        state = (j, tuple(sums[x] for x in ends[j]))
+        if state not in known:
+            known[state] = False
+            for label in range(1, k + 1):
+                after = dict(sums)
+                for w in nbrs[order[j]]:
+                    if w in after:
+                        after[w] += label
+                if all(after[u] != after[v] for u, v in decided[j]) and completes(j + 1, after):
+                    known[state] = True
+                    break
+        return known[state]
+
     completable = []
     for key in keys:
-        sums = {x: len(nbrs[x]) for x in ends}
+        sums = {x: len(nbrs[x]) for x in ends[d]}
         sums.update(zip(live, key if len(live) > 1 else (key,)))
-        for values in itertools.product(range(1, k + 1), repeat=len(rest)):
-            labels = dict(zip(rest, values))
-            final = {x: sums[x] + sum(labels.get(w, 0) for w in nbrs[x]) for x in ends}
-            if all(final[u] != final[v] for u, v in pending):
-                completable.append(key)
-                break
+        if completes(d, sums):
+            completable.append(key)
     return completable
 
 
@@ -214,9 +250,11 @@ def reference_search(k, steps, slots, top, refuted=None):
     neighbor sums and, when refuted, subtracted again, and each counts one
     node; depth 0 tries the labels 1..top only.  A depth that runs out, not
     on a memo hit, records its key and, when it has a mirror, the mirror of
-    its sums.  The kernel must return the same ``(labels, nodes)``.  Pass a
-    ``collections.defaultdict(set)`` as ``refuted`` to read the keys
-    recorded per depth."""
+    its sums; when its memo entry also has complement pairs
+    ``(2 deg(x), p(x))``, it records ``C - key`` and ``C - mirror`` too,
+    for ``C(x) = 2 deg(x) + (k + 1) p(x)``.  The kernel must return the same
+    ``(labels, nodes)``.  Pass a ``collections.defaultdict(set)`` as
+    ``refuted`` to read the keys recorded per depth."""
     from dlucky._search import hall_fails, part_hulls
 
     def shift(lo, hi, own, outside, a, b):
@@ -240,10 +278,10 @@ def reference_search(k, steps, slots, top, refuted=None):
     depth = 0
     start = 1
     while True:
-        v, nbrs, checks, hall, live, mirror = steps[depth]
+        v, nbrs, checks, hall, memo = steps[depth]
         hit = False
-        if live is not None and start == 1:
-            keys[depth] = key = live(sums)
+        if memo is not None and start == 1:
+            keys[depth] = key = memo[0](sums)
             hit = key in refuted[depth]
             if hit:
                 start = k + 1
@@ -270,10 +308,13 @@ def reference_search(k, steps, slots, top, refuted=None):
             for w in nbrs:
                 sums[w] -= ell
         else:
-            if live is not None and not hit:
-                refuted[depth].add(keys[depth])
-                if mirror is not None:
-                    refuted[depth].add(mirror(sums))
+            if memo is not None and not hit:
+                _, mirror, pairs = memo
+                recorded = [keys[depth]] + ([mirror(sums)] if mirror is not None else [])
+                if pairs is not None:
+                    c = [twice + (k + 1) * placed for twice, placed in pairs]
+                    recorded += [tuple(a - b for a, b in zip(c, key)) for key in recorded]
+                refuted[depth].update(recorded)
             if depth == 0:
                 return None, nodes
             depth -= 1

@@ -37,6 +37,7 @@ from conftest import (
     oracle_is_d_lucky,
     oracle_live,
     random_graph,
+    random_regular_graph,
     reference_search,
 )
 
@@ -133,10 +134,12 @@ def test_search_visit_order_is_pinned():
     # eta, nodes and witness of exact_eta(g, max_k=n+2, vertex_cap=n): node
     # counts and witnesses change with the order in which labels and vertices
     # are tried, with the depth at which each edge is checked, with the
-    # depths the memo keys and with the depths that also record a mirrored
-    # key (2,480 / 9,355 / 460 nodes on the prisms and C_15 without).  C_5,
-    # C_15 and the prisms are regular, so their first vertex tries the lower
-    # half of the labels only (62, 449, 2,865 and 9,038 nodes without)
+    # depths the memo keys, with the depths that also record a mirrored key
+    # (2,480 / 9,355 / 460 nodes on the prisms and C_15 without) and with
+    # the depths that also record complement images (1,502 / 5,329 / 326
+    # without).  C_5, C_15 and the prisms are regular, so their first vertex
+    # tries the lower half of the labels only (62, 263, 1,621 and 4,744
+    # nodes without)
     cases = [
         (complete_graph(6), 6, 21, [1, 2, 3, 4, 5, 6]),
         (cycle_graph(5), 3, 37, [1, 1, 2, 3, 1]),
@@ -144,11 +147,11 @@ def test_search_visit_order_is_pinned():
          [1, 1, 1, 1, 1, 2, 3, 4, 1, 2, 3, 4, 5, 1, 1, 1]),
         (build_cocktail(2, 4, 1).graph, 2, 21,
          [1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 1, 1]),
-        (cartesian_product(path_graph(2), cycle_graph(7)), 3, 1502,
+        (cartesian_product(path_graph(2), cycle_graph(7)), 3, 1426,
          [1, 1, 1, 1, 3, 1, 1, 1, 2, 1, 1, 1, 1, 2]),
-        (cartesian_product(path_graph(2), cycle_graph(9)), 3, 5329,
+        (cartesian_product(path_graph(2), cycle_graph(9)), 3, 4549,
          [1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 2]),
-        (cycle_graph(15), 3, 326, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
+        (cycle_graph(15), 3, 238, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
         # the part check refutes k = 2 at the root (405 nodes without it)
         (build_cocktail(2, 6, 1).graph, 3, 39,
          [1, 3, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 1, 1, 1, 1, 2, 2, 3, 3, 1, 1, 1, 1]),
@@ -172,27 +175,30 @@ def test_search_matches_the_per_label_reference():
     # the kernel steps each label by 1 and counts nodes once per visit to a
     # depth; the per-label loop it replaced must give the same labels and
     # nodes at every budget up to eta, under the same depth-0 limit and with
-    # the same mirrors.  The random graphs have more than 6 vertices, so some
-    # have memo tables; K_6, K_8 minus (6, 7), cocktail(2,4,1) and HALL_MEMO
-    # take the Hall path, and the prism, GP(9,2) and HALL_MEMO have memo
-    # hits; the prism and GP(9,2) have mirrored depths, and the prism has a
-    # limit below k at k = 2, 3
+    # the same mirrors and complement images.  The random graphs have more
+    # than 6 vertices, so some have memo tables; K_6, K_8 minus (6, 7),
+    # cocktail(2,4,1) and HALL_MEMO take the Hall path, and the prism, GP(9,2)
+    # and HALL_MEMO have memo hits; the prism and GP(9,2) have mirrored depths
+    # that record complement images, and the prism has a limit below k at
+    # k = 2, 3
     rng = random.Random(15)
     randoms = [random_graph(rng, rng.randint(7, 11), rng.uniform(0.1, 0.4)) for _ in range(60)]
     hall = [complete_graph(6), k_minus(8, (6, 7)), build_cocktail(2, 4, 1).graph, HALL_MEMO]
     symmetric = [cartesian_product(path_graph(2), cycle_graph(9)), generalized_petersen(9, 2)]
-    memoized = mirrored = hall_steps = capped = 0
+    memoized = mirrored = complemented = hall_steps = capped = 0
     for g in list(connected_graphs(5)) + randoms + hall + symmetric:
         _, steps, slots, regular = _setup(g)
-        memoized += any(step[4] is not None for step in steps)
-        mirrored += sum(step[5] is not None for step in steps)
+        memos = [step[4] for step in steps if step[4] is not None]
+        memoized += bool(memos)
+        mirrored += sum(memo[1] is not None for memo in memos)
+        complemented += sum(memo[2] is not None for memo in memos)
         hall_steps += any(step[3] is not None for step in steps)
         eta = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n).eta
         for k in range(1, eta + 1):
             top = _top(k, regular)
             capped += top < k
             assert _search.search(k, steps, slots, top) == reference_search(k, steps, slots, top), (g, k)
-    assert memoized >= 10 and mirrored >= 7 and hall_steps >= 3 and capped >= 3
+    assert memoized >= 10 and mirrored >= 7 and complemented >= 5 and hall_steps >= 3 and capped >= 3
 
 
 def test_the_complement_of_a_d_lucky_labeling_is_d_lucky_on_regular_graphs():
@@ -356,25 +362,30 @@ def test_memo_keys_every_depth_where_a_check_retires():
             at = max(pos[w] for w in nbrs[u] ^ nbrs[v])
             final[u] = max(final[u], at)
             final[v] = max(final[v], at)
-        for d, (*_, live, _) in enumerate(steps):
+        for d, (*_, memo) in enumerate(steps):
             expected = [x for x in range(g.n)
                         if nbrs[x] and min(pos[w] for w in nbrs[x]) < d <= final[x]]
             if d >= 1 and d - 1 in final and expected:
-                assert live is not None, (g, d)
-                got = live(list(range(g.n)))
+                assert memo is not None, (g, d)
+                got = memo[0](list(range(g.n)))
                 assert list(got if len(expected) > 1 else (got,)) == expected, (g, d)
                 keyed_near_the_bottom += d > g.n - 6
             else:
-                assert live is None, (g, d)
+                assert memo is None, (g, d)
     for g in prisms:
         assert _setup(g)[1][-1][4] is not None  # the last depth is keyed too
     assert keyed_near_the_bottom > 50
     for g in connected_graphs(6):
-        assert all(live is None for *_, live, _ in _setup(g)[1]), g
+        assert all(memo is None for *_, memo in _setup(g)[1]), g
 
 
 def _prism(n):
     return cartesian_product(path_graph(2), cycle_graph(n))
+
+
+def _mirrors(g):
+    """Per depth of the solver's steps on ``g``, the mirror of its memo entry, or None."""
+    return [memo and memo[1] for *_, memo in _setup(g)[1]]
 
 
 def test_mirrors_read_the_sums_through_an_automorphism_that_fixes_the_prefix():
@@ -393,7 +404,7 @@ def test_mirrors_read_the_sums_through_an_automorphism_that_fixes_the_prefix():
         automorphisms = [sigma for sigma in solver._symmetries(g, order)
                          if sorted(sigma) == list(range(g.n))
                          and {frozenset((sigma[u], sigma[v])) for u, v in edges} == edges]
-        mirrors = [step[5] for step in _setup(g)[1]]
+        mirrors = _mirrors(g)
         for d, mirror in enumerate(mirrors):
             if mirror is None:
                 continue
@@ -406,10 +417,36 @@ def test_mirrors_read_the_sums_through_an_automorphism_that_fixes_the_prefix():
                        for sigma in automorphisms), (g, d)
         with_mirrors.append(any(mirrors))
     assert all(with_mirrors[len(randoms):]) and sum(with_mirrors[:len(randoms)]) >= 10
-    assert sum(m is not None for *_, m in _setup(_prism(11))[1]) >= 4
-    assert sum(m is not None for *_, m in _setup(_prism(13))[1]) >= 5
-    for g in connected_graphs(6):
-        assert all(m is None for *_, m in _setup(g)[1]), g
+    assert sum(m is not None for m in _mirrors(_prism(11))) >= 4
+    assert sum(m is not None for m in _mirrors(_prism(13))) >= 5
+
+
+def test_complement_pairs_are_read_off_the_graph_at_the_mirrored_depths_of_regular_graphs():
+    # derived from the graph alone: a memo entry has complement pairs exactly
+    # at the mirrored depths of a regular graph, and they are
+    # (2 deg(x), the neighbors of x among the first d vertices of the
+    # breadth-first order) over the vertices x live at d, in index order
+    rng = random.Random(26)
+    cubic = [random_regular_graph(rng, rng.choice([8, 10, 12, 14]), 3) for _ in range(30)]
+    randoms = [random_graph(rng, rng.randint(7, 12), rng.uniform(0.15, 0.6)) for _ in range(40)]
+    named = ([_prism(n) for n in range(7, 14)] + [cycle_graph(25)]
+             + [generalized_petersen(9, 2), generalized_petersen(11, 2)])
+    complemented = 0
+    for g in cubic + randoms + named:
+        regular = len(set(map(g.degree, range(g.n)))) == 1
+        order = oracle_bfs_order(g)
+        for d, (*_, memo) in enumerate(_setup(g)[1]):
+            if memo is None:
+                continue
+            _, mirror, pairs = memo
+            if mirror is None or not regular:
+                assert pairs is None, (g, d)
+                continue
+            nbrs, _, live = oracle_live(g, d)
+            placed = set(order[:d])
+            assert list(pairs) == [(2 * len(nbrs[x]), len(nbrs[x] & placed)) for x in live], (g, d)
+            complemented += 1
+    assert complemented >= 40
 
 
 def _recorded_keys(steps, k):
@@ -433,14 +470,15 @@ def test_every_recorded_key_is_refuted_and_a_wrong_mirror_records_a_completable_
         rotation = [a * n + (x + 1) % n for a in range(2) for x in range(n)]
         reflection = [a * n + -x % n for a in range(2) for x in range(n)]
 
-        def mirrored_by(sigma):  # sigma at every memoized depth
-            return [step[:5] + (step[4] and itemgetter(*[sigma[x] for x in oracle_live(g, d)[2]]),)
-                    for d, step in enumerate(steps)]
+        def mirrored_by(sigma):  # sigma at every memoized depth, and no complement images
+            return [step[:4] + (step[4] and (step[4][0], itemgetter(*[sigma[x] for x in live]), None),)
+                    for step, live in zip(steps, (oracle_live(g, d)[2] for d in range(g.n)))]
 
         def completable(recorded):
             return sum(len(oracle_completable(g, 2, d, keys)) for d, keys in recorded.items())
 
-        _, own_nodes = _recorded_keys([step[:5] + (None,) for step in steps], 2)
+        own_keys = [step[:4] + (step[4] and (step[4][0], None, None),) for step in steps]
+        _, own_nodes = _recorded_keys(own_keys, 2)
         recorded, nodes = _recorded_keys(steps, 2)
         assert nodes < own_nodes, n
         assert completable(recorded) == 0, n
@@ -448,16 +486,89 @@ def test_every_recorded_key_is_refuted_and_a_wrong_mirror_records_a_completable_
             assert completable(_recorded_keys(mirrored_by(sigma), 2)[0]) > 0, (n, sigma)
 
 
+def _kernel_records(g, tables=_search.memo_tables, memos=solver._memos):
+    """Per budget the solver searches on ``g``, up to the first with a labeling:
+    ``(k, {depth: the keys the kernel recorded as refuted there})``, read off
+    the per-call tables that ``tables`` hands the kernel, on the steps that
+    ``memos`` gives ``_prepare`` (the kernel's and solver's own by default)."""
+    made = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_search, "memo_tables", lambda steps, k: made.append(tables(steps, k)) or made[-1])
+        mp.setattr(solver, "_memos", memos)
+        structures, steps, slots, regular = _setup(g)
+        records = []
+        for k in range(1, g.n + 3):
+            if _clique_refutes(structures, k):
+                continue
+            made.clear()
+            labels, _ = _search.search(k, steps, slots, _top(k, regular))
+            if made:
+                records.append((k, {d: keys for d, keys in enumerate(made[0][0]) if keys}))
+            if labels is not None:
+                return records
+    raise AssertionError(f"{g}: no labeling up to n + 2 labels")
+
+
+def _completable(g, records):
+    """The recorded keys that the brute-force oracle completes, and all recorded keys."""
+    completable = recorded = 0
+    for k, per_depth in records:
+        for d, keys in per_depth.items():
+            recorded += len(keys)
+            completable += len(oracle_completable(g, k, d, keys))
+    return completable, recorded
+
+
+def test_every_key_the_kernel_records_is_refuted_and_two_complement_mutants_record_completable_ones():
+    # the kernel's own records, read through a wrapped memo_tables at every
+    # budget the solver searches: own keys, mirrored keys and complement
+    # images alike must have no completion.  The graphs with complement
+    # images are P_2 x C_11, C_25, GP(9,2) and random cubic graphs with a
+    # mirrored depth; the non-regular ones are the prisms P_2 x C_5 and
+    # P_2 x C_7 with pendants at 1 and n - 1, and at 2 and n - 2, which keep
+    # the reflection through vertex 0.  Two mutants must record a completable
+    # key: C_d made with k in place of k + 1, on the regular graphs, and
+    # complement images recorded on the non-regular graphs
+    def complemented(g):  # the keys recorded at depths with complement images
+        depths = {d for d, (*_, memo) in enumerate(_setup(g)[1]) if memo and memo[2]}
+        return sum(len(keys) for _, per_depth in _kernel_records(g) for d, keys in per_depth.items()
+                   if d in depths)
+
+    rng = random.Random(27)
+    cubic = [random_regular_graph(rng, rng.choice([10, 12, 14]), 3) for _ in range(40)]
+    cubic = [g for g in cubic if complemented(g)][:6]
+    regular = [_prism(11), cycle_graph(25), generalized_petersen(9, 2)] + cubic
+    pendants = [Graph(2 * n + 2, list(_prism(n).edges) + [(j, 2 * n), (n - j, 2 * n + 1)])
+                for n, j in ((5, 1), (7, 2))]
+    assert len(cubic) >= 4 and all(complemented(g) for g in regular)
+    for g in regular + pendants:
+        completable, recorded = _completable(g, _kernel_records(g))
+        assert completable == 0 and recorded > 0, g
+
+    tables, memos = _search.memo_tables, solver._memos
+
+    def k_for_k_plus_1(steps, k):  # 2 deg(x) + k p_d(x)
+        return tables(steps, k - 1)
+
+    def on_any_graph(order, bits, live, symmetries, regular):
+        return memos(order, bits, live, symmetries, True)
+
+    assert all(_completable(g, _kernel_records(g, tables=k_for_k_plus_1))[0] > 0 for g in regular[:3])
+    assert any(_completable(g, _kernel_records(g, tables=k_for_k_plus_1))[0] > 0 for g in cubic)
+    assert all(_completable(g, _kernel_records(g, memos=on_any_graph))[0] > 0 for g in pendants)
+
+
 def test_mirrors_keep_eta_and_witness_and_never_add_nodes(monkeypatch):
-    # with a σ-search budget of 0 no graph gets a mirror; with mirrors on,
-    # eta and the witness must stay and the nodes may only fall
+    # with a σ-search budget of 0 no graph gets a mirror, nor complement
+    # images, which ride on mirrors; with both on, eta and the witness must
+    # stay and the nodes may only fall
     rng = random.Random(24)
     randoms = [random_graph(rng, rng.randint(7, 12), rng.uniform(0.15, 0.7)) for _ in range(100)]
     named = ([cycle_graph(n) for n in range(7, 21)] + [_prism(n) for n in range(4, 13)]
              + [generalized_petersen(n, 2) for n in range(5, 12)])
     graphs = randoms + named
     monkeypatch.setattr(solver, "SYMMETRY_STEPS", 0)
-    assert all(step[5] is None for g in named for step in _setup(g)[1])
+    assert all(m is None for g in named for m in _mirrors(g))
     off = [exact_eta(g, max_k=g.n + 2, vertex_cap=g.n) for g in graphs]
     monkeypatch.undo()
     saved = 0
