@@ -2,7 +2,8 @@
 
 :func:`part_hulls` and :func:`hall_fails` are the counting argument of
 Theorem 1 and of the cocktail-party optimum: the solver's root checks, the
-kernel's clique test and :mod:`dlucky.parts` all take their ranges from here.
+kernel's clique and structure tests and :mod:`dlucky.parts` all take their
+ranges from here; :func:`choice_fails` is the structure test.
 """
 
 from __future__ import annotations
@@ -46,6 +47,36 @@ def hall_fails(los, his) -> tuple[int, int] | None:
     return None
 
 
+def choice_fails(los, his, part_of) -> bool:
+    """True when some choice of one range per part fails :func:`hall_fails`.
+
+    Range i is ``[los[i], his[i]]`` and belongs to part ``part_of[i]``.  A
+    choice fails exactly when some interval ``[a, b]`` holds the chosen
+    ranges of more than ``b - a + 1`` parts, and the choice that fills
+    ``[a, b]`` most takes, from each part, a range inside it where the part
+    has one.  So the test sweeps ``a`` down over the distinct low ends,
+    keeps for each part the least high end among its ranges that start at
+    or above ``a``, and fails when the m-th smallest of those (m from 0) is
+    below ``a + m``: then ``m + 1`` parts have a range inside
+    ``[a, a + m - 1]``.  An interval that some choice over-fills can be
+    shrunk to start at the least low end inside it, so the sweep misses
+    none.  An empty range (low end above high end) fails at its own low
+    end, as in :func:`hall_fails`.
+    """
+    least: dict = {}  # part -> the least high end of its ranges from a up
+    ranges = sorted(zip(los, his, part_of), reverse=True)
+    last = len(ranges) - 1
+    for i, (a, hi, p) in enumerate(ranges):
+        if hi < least.get(p, hi + 1):
+            least[p] = hi
+        if i < last and ranges[i + 1][0] == a:
+            continue
+        for top, h in enumerate(sorted(least.values()), a):  # top = a + m
+            if h < top:
+                return True
+    return False
+
+
 def part_hulls(parts, k) -> tuple[list[int], list[int]]:
     """The low and high ends of each part's t-range under labels 1..k.
 
@@ -79,9 +110,10 @@ def clique_ranges(adj, q) -> list[tuple[int, int, int, int]]:
 
 
 def _shift(lo, hi, own, outside, a, b):
-    # placing label l on a clique vertex moves its own slot's (lo, hi) by
-    # (+(k-l), -(l-1)); placing it on a vertex outside the clique moves the
-    # slot of each clique neighbor by (+(l-1), -(k-l)); negated a, b undo
+    # placing label l on a vertex moves its own slots' (lo, hi) by
+    # (+(k-l), -(l-1)), for a grown structure the slots of its whole part;
+    # placing it on a vertex outside a clique or structure moves the slot
+    # of each neighbor inside by (+(l-1), -(k-l)); negated a, b undo
     for i in own:
         lo[i] += b
         hi[i] -= a
@@ -91,11 +123,16 @@ def _shift(lo, hi, own, outside, a, b):
 
 
 def _hall_refutes(lo, hi, hall, ell, k) -> bool:
-    """Shift the slots for label ``ell``; True, with the shift undone, when a clique fails Hall."""
-    own, outside, cliques = hall
+    """Shift the slots for label ``ell``; True, with the shift undone, when a
+    clique fails Hall or a structure has a choice that does."""
+    own, outside, cliques, structures = hall
     _shift(lo, hi, own, outside, ell - 1, k - ell)
     for get in cliques:
         if hall_fails(get(lo), get(hi)):
+            _shift(lo, hi, own, outside, 1 - ell, ell - k)
+            return True
+    for get, part_of in structures:
+        if choice_fails(get(lo), get(hi), part_of):
             _shift(lo, hi, own, outside, 1 - ell, ell - k)
             return True
     return False
@@ -130,19 +167,22 @@ def search(k, steps, slots, top):
     ``steps[d]`` is ``(v, neighbors of v, checks, hall, memo)``: the vertex
     placed at depth ``d``, the edges ``(u, w)`` whose two endpoint sums are
     final once it is placed, ``hall``, which is None or ``(own, outside,
-    cliques)``, and ``memo``, which is None or ``(live, mirror,
+    cliques, structures)``, and ``memo``, which is None or ``(live, mirror,
     complement)``: ``live`` is an ``itemgetter`` of sums, ``mirror`` is
     None or one, and ``complement`` is None or the pairs from which
     :func:`memo_tables` makes ``C_d``.
-    ``slots[i]`` is the part of one vertex v of one clique Q, as
-    :func:`clique_ranges` gives it; slot i keeps the range
-    ``[lo[i], hi[i]]`` of ``t(v) = deg(v) - l(v) + sum of l(w) over w in
-    N(v) \\ Q`` under the labels placed so far, from :func:`part_hulls`
-    with none placed.  Placing v moves the slots in ``own`` (v's own) and
-    ``outside`` (v is outside their clique, next to their vertex); after a
-    placement passes its edge checks, each clique in ``cliques`` (an
-    ``itemgetter`` of its slots) must pass :func:`hall_fails`, or the
-    placement is undone.
+    ``slots[i]`` belongs to one vertex v of one clique or grown part
+    structure with vertex set M, v in its part P (a clique's parts are its
+    vertices), in the form of :func:`part_hulls`; slot i keeps the range
+    ``[lo[i], hi[i]]`` of ``t(v) = deg(v) - l(P) + sum of l(w) over w in
+    N(v) \\ M`` under the labels placed so far, from :func:`part_hulls`
+    with none placed.  Placing v moves the slots in ``own`` (those of the
+    vertices of v's part, v's own on a clique) and ``outside`` (v is
+    outside their M, next to their vertex).  After a placement passes its
+    edge checks, each clique in ``cliques`` (an ``itemgetter`` of its
+    slots) must pass :func:`hall_fails` and each structure in
+    ``structures`` (an ``itemgetter`` of its slots and the part of each)
+    must pass :func:`choice_fails`, or the placement is undone.
 
     ``live`` picks the sums that decide whether the labels not yet placed
     can complete a labeling; their values on entry to depth ``d`` are its

@@ -18,30 +18,77 @@ the paper does for the cocktail-party graphs: each part needs a t-value that
 no other part uses, so when the parts' t-ranges fail Hall's condition no
 labeling into 1..k exists (:func:`_search.part_hulls` gives the argument).
 Parts of one vertex give the clique check, so both checks and the kernel's
-clique test take their ranges from that one routine.  The structures come
-from :func:`_root_structures`: every clique as parts of one vertex, and the
-structures :func:`parts.grow_parts` grows from the large maximal cliques.
-Every clique range and part hull only widens as k grows, so once a budget
-passes both root checks every larger one does: :func:`_solve` tests
-nothing more from there, and the budgets the root checks refute are exactly
-those below the least one they pass.  Only budgets are refuted, never a
-subtree, so the search, its visit order and the witness do not change;
-``nodes_explored`` can only fall.  On ``cocktail(2,6,1)`` the six base parts
-of two vertices refute k = 2, which the clique check passes: 405 nodes fall
-to 39.
+clique and structure tests take their ranges from that one routine.  The
+structures come from :func:`_root_structures`: every clique as parts of one
+vertex, and the structures :func:`parts.grow_parts` grows from the large
+maximal cliques.  Every clique range and part hull only widens as k grows,
+so once a budget passes both root checks every larger one does:
+:func:`_solve` tests nothing more from there, and the budgets the root
+checks refute are exactly those below the least one they pass.  Only
+budgets are refuted, never a subtree, so the search, its visit order and
+the witness do not change; ``nodes_explored`` can only fall.  On
+``cocktail(2,6,1)`` the six base parts of two vertices refute k = 2, which
+the clique check passes: the search at k = 2 is skipped, and the solve
+takes 36 nodes instead of 405 (39 when the search tested the structure's
+cliques one by one, below).
 
-Inside the search the clique argument runs after every placement that passes
-its edge checks.  For a clique Q and v in Q, ``t(v) = deg(v) - l(v) + sum of
-l(w) over w in N(v) \\ Q`` must be pairwise distinct on Q in every d-lucky
-labeling (see :func:`_search.part_hulls`).  Under a partial labeling, each
-label not yet placed lies in 1..k, so ``t(v)`` lies in ``[lo, hi]``: ``lo``
-counts each unplaced label of N(v) \\ Q as 1 and an unplaced l(v) as k,
-``hi`` the other way round.  Every completion of the partial labeling puts
-each ``t(v)`` inside its range, so when Q's ranges fail Hall's condition no
-completion is d-lucky: the placement's subtree holds no labeling, and the
-placement is undone (it still counts as one node).  The rule removes only
+Inside the search the same count runs after every placement that passes its
+edge checks.  Let M be the vertex set of a structure and v a vertex of its
+part P.  Then ``d(v) = t(v) + l(M)`` with ``t(v) = deg(v) - l(P) + sum of
+l(w) over w in N(v) \\ M`` (see :func:`_search.part_hulls`).  ``l(M)`` is
+the same for every vertex of M, and vertices in different parts are
+adjacent, so in every d-lucky labeling vertices in different parts have
+different t-values.  A clique is the structure whose parts are its vertices.
+Under a partial labeling, each label not yet placed lies in 1..k, so
+``t(v)`` lies in ``[lo, hi]``: ``lo`` counts each unplaced label of P as k
+and of N(v) \\ M as 1, ``hi`` the other way round.  The kernel keeps that
+range in a slot per vertex of M.  Placing l on a vertex of P moves the
+slot of every vertex of P, placing it on a vertex outside M moves the slots
+of its neighbors in M, and placing it in another part moves none, as l(M)
+is not in t.  Every completion of the partial labeling puts each ``t(v)``
+inside its range, so when the ranges of some choice of one vertex per part
+fail Hall's condition no completion is d-lucky: the placement's subtree
+holds no labeling, and the placement is undone (it still counts as one
+node).  :func:`_search.choice_fails` tests every choice at once; a clique
+has one, which :func:`_search.hall_fails` tests.  The rule removes only
 subtrees without a labeling, so each budget keeps its outcome and its first
 labeling.
+
+A grown structure is tested once per placement that moves its slots, and
+the cliques inside it get no slots and no test of their own.  A maximal
+clique inside M is a choice of one vertex per part, as a part it missed
+would extend it, so the structure's test counts over every such clique.  It
+does so on ranges of its own.  A clique Q's rest is ``t(v) + l(M \\ Q)``,
+and its range counts the unplaced labels of M \\ Q, which t cancels; at its
+low end those in v's own part count as k and the others as 1, so the
+offset differs from vertex to vertex.  So the structure's test is not
+proven the stronger one, and the nodes below are measured.  Nodes and
+solve times of ``exact_eta(g, n + 2)``, CPU ms, with each clique
+inside a structure tested on its own (off, as before) and with the
+structure's one test (on); median of 5 runs, each a process of its own that
+takes the median of 5 solves (one solve of each of the 750 graphs and of
+corpus6, the 27,476 connected graphs with up to 6 vertices), off and on
+interleaved (Python 3.11, shared 2-core x86_64)::
+
+                                  off               on
+    cocktail(2,6,1)                39    4.22        36    1.12
+    cocktail(2,7,1)               101    21.9        44    1.85
+    cocktail(3,5,1)                99    28.3        39    1.89
+    cocktail(3,6,1)               438     460        51    7.19
+    K_9 minus (7,8)                35    0.20        35    0.23
+    search-hard pass           25,098    23.8    25,095    21.2
+    750 random, 7-11 vertices 262,994   2,041   133,094   1,163
+    corpus6                   284,193   1,112   284,193   1,139
+
+Eta and witness are the same in both columns on every graph here.  No
+graph takes more nodes, and 133 of the 750 take fewer.  The 15 structures
+that corpus6 grows leave its nodes as they are, and its time moves within
+the spread of the runs.  ``K_9 minus (7,8)`` grows one structure of 9
+slots in place of its two cliques of 8, with the same nodes, and the
+choice test costs a little more than the two Hall tests did.  (The 750 are
+600 random graphs with 7-11 vertices and edge probability 0.45-0.95, not
+all connected, and 150 complete multipartite graphs with 3-5 parts of 1-3
+vertices and up to 3 pendants, seed 2025.)
 
 The search also remembers refuted states.  Take a fresh entry to depth d,
 the labels of the first d vertices placed.  The checks still to come are
@@ -201,20 +248,25 @@ symmetric difference), with the part check off / grown from
 cliques of at least 3 vertices / at least 4 / at least 4 with a lone such
 clique grown too::
 
-    cocktail(3,6,1)      143,300  235 s      438  388 ms      438  330 ms      438  328 ms
+    cocktail(3,6,1)      143,300  180 s       51  7.6 ms       51  8.1 ms       51  8.1 ms
     K_8 minus (6,7)      131,991  523 ms  13,437   65 ms   13,437   51 ms   13,437   53 ms
     K_9 minus (7,8)    2,753,059 12.4 s  186,823  812 ms  186,823  874 ms  186,823  869 ms
     400 random, 7-10     129,676  914 ms 126,734  884 ms  126,734  878 ms  126,734  863 ms
     1,500 random, 7-9  1,101,791  5.1 s  444,185  2.1 s   444,185  2.0 s   444,185  2.1 s
 
 These gates give the same nodes on these graphs (for the lone clique, as
-the argument in :func:`_root_structures` predicts).  Growing from cliques
-of at least 5 vertices, the default, gives the same nodes too, except
-444,677 on the 1,500 random graphs.  The gate is set by the connected
-graphs with up to 6 vertices: at 4, 1,455 of the 27,476 grow a structure
-(17,638 would at 3), which saves 1,718 of their 319,512 nodes but made the
-benchmark's corpus6 ``run_s`` 3.5% slower; at 5, 15 graphs grow, 774
-nodes are saved and ``run_s`` did not rise.
+the argument in :func:`_root_structures` predicts).  The
+``cocktail(3,6,1)`` row is measured with the search as it is now: edges
+checked at N(u) Δ N(v), and the structure, which every gate grows from its
+729 cliques of 6, tested in place of them (median of 5 solves, one with
+the part check off, whose search tests the 729 cliques; the lone-clique
+rule grows nothing more there, so its column repeats the one before).
+Growing from cliques of at least 5 vertices, the default, gives the same
+nodes too, except 444,677 on the 1,500 random graphs.  The gate is set by
+the connected graphs with up to 6 vertices: at 4, 1,455 of the 27,476 grow
+a structure (17,638 would at 3), which saves 1,718 of their 319,512 nodes
+but made the benchmark's corpus6 ``run_s`` 3.5% slower; at 5, 15 graphs
+grow, 774 nodes are saved and ``run_s`` did not rise.
 (The 400 graphs have edge probability 0.4-0.85, seed 7; the 1,500 have
 0.2-0.9, seed 11.)
 
@@ -301,7 +353,8 @@ class SolveResult(NamedTuple):
         return self.eta is None
 
 
-def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tuple[tuple, tuple, bool]:
+def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list,
+             grown: list[list[list[int]]]) -> tuple[tuple, tuple, bool]:
     """The kernel's steps and t-slots, and whether the complement cut applies.
 
     Per BFS position: the vertex, its neighbors, its edge checks, its Hall
@@ -315,11 +368,14 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tupl
     the two neighbor sets as bitmasks over positions.  The cut applies (see
     :func:`_top`) when the graph is regular.
 
+    Every vertex of each structure in ``grown`` (the parts that
+    :func:`_root_structures` grew) gets a t-slot, from :func:`_part_slots`,
+    and the structure one choice test (:func:`_search.choice_fails`).
     Every vertex of every clique in ``cliques`` with at least
-    ``HALL_MIN_SIZE`` vertices gets a t-slot, its part from ``structures``,
-    which :func:`_root_structures` built from ``cliques`` and which starts
-    with their ranges, in order; a placement is Hall-tested on the cliques
-    whose slots it moves.
+    ``HALL_MIN_SIZE`` vertices that lies inside no grown structure gets a
+    t-slot too, its part from ``structures``, which starts with the
+    cliques' ranges, in order, and the clique a Hall test.  A placement is
+    tested on the cliques and structures whose slots it moves.
     """
     adj = g._adj
     order = bfs_order(g)
@@ -333,24 +389,26 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tupl
         ready[(bits[u] ^ bits[v]).bit_length() - 1].append((u, v))
 
     slots: list[tuple[int, int, int, int]] = []
-    # vertex -> (its own slots, slots it neighbors from outside, cliques to test)
-    hall: defaultdict[int, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
+    # vertex -> (its own slots, slots it neighbors from outside, cliques to test, structures to test)
+    hall: defaultdict[int, tuple[list, list, list, list]] = defaultdict(lambda: ([], [], [], []))
+    covered = [set().union(*parts) for parts in grown] if grown else ()
     for q, ranges in zip(cliques, structures):
-        if len(q) < HALL_MIN_SIZE:
+        if len(q) < HALL_MIN_SIZE or covered and any(inside.issuperset(q) for inside in covered):
             continue
         first = len(slots)
         slots.extend(ranges)
-        inside = set(q)
-        moved = set(inside)
         for i, v in enumerate(q, first):
             hall[v][0].append(i)
-            for w in adj[v]:
-                if w not in inside:
-                    hall[w][1].append(i)
-                    moved.add(w)
-        clique = itemgetter(*range(first, len(slots)))
-        for w in moved:
-            hall[w][2].append(clique)
+        _enter_tests(hall, adj, q, first, 2, itemgetter(*range(first, len(slots))))
+    for parts in grown:
+        ranges, own = _part_slots(adj, parts)
+        members = [v for part in parts for v in part]
+        first = len(slots)
+        slots.extend(ranges)
+        for v, offsets in zip(members, own):
+            hall[v][0].extend([first + j for j in offsets])
+        part_of = tuple([p for p, part in enumerate(parts) for _ in part])
+        _enter_tests(hall, adj, members, first, 3, (itemgetter(*range(first, len(slots))), part_of))
     live = _live_sets(bits, ready) if g.n > MEMO_OFF_UP_TO else [None] * g.n
     regular = len(set(map(len, adj))) == 1
     memos = [None] * g.n
@@ -358,6 +416,21 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list) -> tupl
         memos = _memos(order, bits, live, _symmetries(g, order), regular)
     steps = tuple([(v, adj[v], ready[d], hall.get(v), memos[d]) for d, v in enumerate(order)])
     return steps, tuple(slots), regular
+
+
+def _enter_tests(hall, adj, members, first, kind, test) -> None:
+    """Enter the slots ``first + i`` of ``members[i]`` in the outside lists of
+    their neighbors outside ``members``, and ``test`` in list ``kind`` of
+    every vertex whose placement moves one of those slots."""
+    inside = set(members)
+    moved = set(inside)
+    for i, v in enumerate(members, first):
+        for w in adj[v]:
+            if w not in inside:
+                hall[w][1].append(i)
+                moved.add(w)
+    for w in moved:
+        hall[w][kind].append(test)
 
 
 def _live_sets(bits, ready) -> list:
@@ -476,8 +549,32 @@ def _memos(order: list[int], bits: list[int], live: list, symmetries: list[list[
     return memos
 
 
-def _root_structures(g: Graph, cliques: list[tuple[int, ...]]) -> list[list[tuple[int, int, int, int]]]:
-    """The parts (see :func:`_search.part_hulls`) of every structure the root check tests.
+def _part_slots(adj, parts: list[list[int]]) -> tuple[list, list]:
+    """The t-slots of a grown structure, one per vertex, and what a placement moves.
+
+    Slot i is the i-th vertex v of the parts read in order, in the form of
+    :func:`_search.part_hulls`: ``(deg(v) + s(v), deg(v), s(v), |P|)`` for
+    v in part P, with ``s(v) = |N(v) \\ M| = deg(v) - |M| + |P|``, so its
+    range is v's own t-range.  ``own[i]`` lists the slots, by offset, that
+    placing v moves as its own: every slot of P, as ``t`` subtracts the
+    labels of all of P.
+    """
+    size = sum(map(len, parts))
+    ranges = []
+    own = []
+    for part in parts:
+        outside = size - len(part)  # deg(v) - s(v) on this part
+        offsets = tuple(range(len(ranges), len(ranges) + len(part)))
+        for v in part:
+            d = len(adj[v])
+            ranges.append((2 * d - outside, d, d - outside, len(part)))
+            own.append(offsets)
+    return ranges, own
+
+
+def _root_structures(g: Graph, cliques: list[tuple[int, ...]]) -> tuple[list, list]:
+    """The parts (see :func:`_search.part_hulls`) of every structure the root
+    check tests, and the grown parts among them as vertex lists.
 
     First each clique of ``cliques``, in order, as parts of one vertex
     (:func:`_search.clique_ranges`).  Then the structures grown by
@@ -488,23 +585,28 @@ def _root_structures(g: Graph, cliques: list[tuple[int, ...]]) -> list[list[tupl
     first one), so every kept structure holds a seed clique that no earlier
     one holds, and none is kept twice.  With fewer than two such cliques
     nothing is grown: a vertex that could join a lone clique Q would lie in
-    a second one, Q minus the member it misses plus itself.
+    a second one, Q minus the member it misses plus itself.  The kept
+    structures' parts, in order, are the second list, which :func:`_prepare`
+    gives one slot per vertex and one choice test; the cliques inside them
+    get neither.
     """
     structures = [_search.clique_ranges(g._adj, q) for q in cliques]
+    grown: list[list[list[int]]] = []
     big = [q for q in cliques if len(q) > HALL_MIN_SIZE]
     if len(big) < 2:
-        return structures
+        return structures, grown
     from .parts import grow_parts, part_ranges  # not at module level: see the parts docstring
 
-    grown = []  # the vertex set of each kept structure
+    grown_sets = []  # the vertex set of each kept structure
     for q in big:
-        if any(grown_set.issuperset(q) for grown_set in grown):
+        if any(grown_set.issuperset(q) for grown_set in grown_sets):
             continue
         parts = grow_parts(g, q)
         if len(parts) < sum(map(len, parts)):
-            grown.append(set().union(*parts))
+            grown_sets.append(set().union(*parts))
+            grown.append(parts)
             structures.append(part_ranges(g, parts))
-    return structures
+    return structures, grown
 
 
 def _clique_refutes(structures: list, k: int) -> bool:
@@ -529,8 +631,8 @@ def _setup(g: Graph) -> tuple[list, tuple, tuple, bool]:
     """The root structures over the maximal cliques of 3 or more vertices, and
     :func:`_prepare`'s steps, slots and complement flag from them."""
     cliques = enumerate_maximal_cliques(g, min_size=3)
-    structures = _root_structures(g, cliques)
-    return (structures, *_prepare(g, cliques, structures))
+    structures, grown = _root_structures(g, cliques)
+    return (structures, *_prepare(g, cliques, structures, grown))
 
 
 def _solve(g: Graph, budgets) -> SolveResult:

@@ -21,7 +21,7 @@ from dlucky import (
     max_label,
     verify,
 )
-from dlucky._search import clique_ranges, hall_fails, part_hulls
+from dlucky._search import choice_fails, clique_ranges, hall_fails, part_hulls
 from dlucky.bounds import _best_clique, _greedy_clique, _masks, _omega
 from dlucky.parts import (
     HallCertificate,
@@ -297,6 +297,23 @@ def test_hall_fails_matches_the_definition():
             assert inside >= b - a + 2, (los, his, witness)
             if all(lo <= hi for lo, hi in zip(los, his)):
                 assert a <= b, (los, his, witness)
+    assert answers == {False, True}
+
+
+def test_choice_fails_matches_every_choice_of_one_range_per_part():
+    # the structure test: some choice of one range per part fails Hall,
+    # against every choice tried with the definition; empty ranges included
+    rng = random.Random(2025)
+    answers = set()
+    for _ in range(3000):
+        lows = [[rng.randint(-2, 5) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 5))]
+        parts = [[(lo, lo + rng.randint(-1, 4)) for lo in part] for part in lows]
+        flat = [(lo, hi, p) for p, part in enumerate(parts) for lo, hi in part]
+        got = choice_fails([lo for lo, _, _ in flat], [hi for _, hi, _ in flat], [p for *_, p in flat])
+        expected = any(oracle_hall_fails([lo for lo, _ in choice], [hi for _, hi in choice])
+                       for choice in itertools.product(*parts))
+        answers.add(expected)
+        assert got == expected, parts
     assert answers == {False, True}
 
 

@@ -152,8 +152,10 @@ def test_search_visit_order_is_pinned():
         (cartesian_product(path_graph(2), cycle_graph(9)), 3, 4549,
          [1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 2]),
         (cycle_graph(15), 3, 238, [1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 2, 1]),
-        # the part check refutes k = 2 at the root (405 nodes without it)
-        (build_cocktail(2, 6, 1).graph, 3, 39,
+        # the part check refutes k = 2 at the root (405 nodes without it),
+        # and the search tests its one structure instead of its 64 cliques
+        # (39 nodes with the clique tests)
+        (build_cocktail(2, 6, 1).graph, 3, 36,
          [1, 3, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 1, 1, 1, 1, 2, 2, 3, 3, 1, 1, 1, 1]),
         # K_8 minus (6, 7): parts {0}..{5}, {6, 7} refute k = 5 (131,991 without).
         # In K_n minus edges, most vertex pairs share every neighbor but each
@@ -177,15 +179,17 @@ def test_search_matches_the_per_label_reference():
     # nodes at every budget up to eta, under the same depth-0 limit and with
     # the same mirrors and complement images.  The random graphs have more
     # than 6 vertices, so some have memo tables; K_6, K_8 minus (6, 7),
-    # cocktail(2,4,1) and HALL_MEMO take the Hall path, and the prism, GP(9,2)
-    # and HALL_MEMO have memo hits; the prism and GP(9,2) have mirrored depths
-    # that record complement images, and the prism has a limit below k at
-    # k = 2, 3
+    # cocktail(2,4,1), cocktail(2,6,1) and HALL_MEMO take the Hall path,
+    # cocktail(2,6,1) with a grown structure's choice test, and the prism,
+    # GP(9,2) and HALL_MEMO have memo hits; the prism and GP(9,2) have
+    # mirrored depths that record complement images, and the prism has a
+    # limit below k at k = 2, 3
     rng = random.Random(15)
     randoms = [random_graph(rng, rng.randint(7, 11), rng.uniform(0.1, 0.4)) for _ in range(60)]
-    hall = [complete_graph(6), k_minus(8, (6, 7)), build_cocktail(2, 4, 1).graph, HALL_MEMO]
+    hall = [complete_graph(6), k_minus(8, (6, 7)), build_cocktail(2, 4, 1).graph,
+            build_cocktail(2, 6, 1).graph, HALL_MEMO]
     symmetric = [cartesian_product(path_graph(2), cycle_graph(9)), generalized_petersen(9, 2)]
-    memoized = mirrored = complemented = hall_steps = capped = 0
+    memoized = mirrored = complemented = hall_steps = structured = capped = 0
     for g in list(connected_graphs(5)) + randoms + hall + symmetric:
         _, steps, slots, regular = _setup(g)
         memos = [step[4] for step in steps if step[4] is not None]
@@ -193,12 +197,14 @@ def test_search_matches_the_per_label_reference():
         mirrored += sum(memo[1] is not None for memo in memos)
         complemented += sum(memo[2] is not None for memo in memos)
         hall_steps += any(step[3] is not None for step in steps)
+        structured += any(step[3] is not None and step[3][3] for step in steps)
         eta = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n).eta
         for k in range(1, eta + 1):
             top = _top(k, regular)
             capped += top < k
             assert _search.search(k, steps, slots, top) == reference_search(k, steps, slots, top), (g, k)
     assert memoized >= 10 and mirrored >= 7 and complemented >= 5 and hall_steps >= 3 and capped >= 3
+    assert structured >= 2
 
 
 def test_the_complement_of_a_d_lucky_labeling_is_d_lucky_on_regular_graphs():
@@ -267,7 +273,7 @@ def test_part_refutation_agrees_with_oracle(monkeypatch):
     refuted = beyond_cliques = 0
     for g in connected_graphs(5):
         cliques = enumerate_maximal_cliques(g, min_size=3)
-        structures = _root_structures(g, cliques)
+        structures, _ = _root_structures(g, cliques)
         singles, grown = structures[: len(cliques)], structures[len(cliques) :]
         for k in range(1, g.n + 1):
             if _clique_refutes(grown, k):
@@ -279,12 +285,21 @@ def test_part_refutation_agrees_with_oracle(monkeypatch):
 
 def test_part_structures_are_built_for_two_large_cliques_only():
     k6 = complete_graph(6)
-    assert len(_root_structures(k6, enumerate_maximal_cliques(k6, min_size=3))) == 1
+    assert _root_structures(k6, enumerate_maximal_cliques(k6, min_size=3)) == (
+        [_search.clique_ranges(k6._adj, tuple(range(6)))], [])
     g = build_cocktail(2, 6, 1).graph
     cliques = enumerate_maximal_cliques(g, min_size=3)
     assert len(cliques) == 64  # every base transversal; all grow into one structure
-    structures = _root_structures(g, cliques)
+    structures, grown = _root_structures(g, cliques)
+    assert grown == [[[2 * j, 2 * j + 1] for j in range(6)]]  # the six base parts
     singles, (parts,) = structures[:64], structures[64:]
+    # in the search the 64 cliques get no slots: the structure has one per
+    # base vertex, and every vertex's tables test it and no clique
+    _, steps, slots, _ = _setup(g)
+    assert len(slots) == 12
+    tables = [step[3] for step in steps]
+    assert all(not cliques_tested and len(tested) == 1 for *_, cliques_tested, tested in tables)
+    assert tables[0][3][0][1] == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5)
     assert all(size == 1 for single in singles for *_, size in single)
     assert [size for *_, size in parts] == [2] * 6
     assert _clique_refutes([parts], 2) and not _clique_refutes(singles, 2)
@@ -292,6 +307,85 @@ def test_part_structures_are_built_for_two_large_cliques_only():
     assert exists_labeling(g, 2) is None
     found = exists_labeling(g, 3)
     assert found is not None and verify(g, found).is_d_lucky
+
+
+def _structure_tables_hold(graphs, oracle, rng) -> bool:
+    """Whether, on every graph of ``graphs`` that grows a structure, eta and
+    the witness are ``oracle``'s and the slots of each structure hold the
+    t-ranges of its vertices, read off the graph alone, after random labels
+    on a random prefix of the search order, each placement shifted in by its
+    step's own and outside lists.  For v in part P of the structure's vertex
+    set M, ``t(v) = deg(v) - l(P) + l(N(v) \\ M)``, and a label not placed
+    counts as 1 or k, whichever gives the end."""
+    tested = 0
+    for g in graphs:
+        cliques = enumerate_maximal_cliques(g, min_size=3)
+        structures, grown = _root_structures(g, cliques)
+        if not grown:
+            continue
+        tested += 1
+        steps, slots, regular = solver._prepare(g, cliques, structures, grown)
+        entries = {id(e): e for step in steps if step[3] for e in step[3][3]}.values()
+        indices = sorted(get(range(len(slots))) for get, _ in entries)
+        nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+        for _ in range(2):
+            k = rng.randint(2, 4)
+            prefix = steps[: rng.randint(0, g.n)]
+            labels = {step[0]: rng.randint(1, k) for step in prefix}
+            lo, hi = _search.part_hulls(slots, k)
+            for v, *_, hall, _ in prefix:
+                if hall is not None:
+                    _search._shift(lo, hi, hall[0], hall[1], labels[v] - 1, k - labels[v])
+            for parts, slot_of in zip(grown, indices):
+                inside = set().union(*parts)
+                for i, (v, part) in zip(slot_of, [(v, part) for part in parts for v in part]):
+                    out = nbrs[v] - inside
+                    # the least t(v) takes the labels not placed in P as k and outside M as 1
+                    ends = [len(nbrs[v]) - sum(labels.get(w, mine) for w in part)
+                            + sum(labels.get(w, k + 1 - mine) for w in out) for mine in (k, 1)]
+                    if [lo[i], hi[i]] != ends:
+                        return False
+        # exact_eta's budget loop, on these tables
+        k = next(k for k in itertools.count(1) if not _clique_refutes(structures, k))
+        while (labels := _search.search(k, steps, slots, _top(k, regular))[0]) is None:
+            k += 1
+        if (k, labels) != oracle(g):
+            return False
+    assert tested > 0
+    return True
+
+
+def test_structure_slots_track_the_part_t_ranges_and_keep_eta_and_witness(monkeypatch):
+    # with the gate at 2, structures grow from triangles too, so graphs this
+    # small test them in the search (16,378 of the connected graphs with up
+    # to 6 vertices); the random graphs with 7 vertices are dense.  Two
+    # mutants must fail: the own shift moving only the placed vertex's slot
+    # (sound but weaker: its part-mates' slots stop tracking their t-ranges),
+    # and s(v) counting all of N(v), not N(v) \\ M
+    monkeypatch.setattr(solver, "HALL_MIN_SIZE", 2)
+    rng = random.Random(25)
+    graphs = list(connected_graphs(6)) + [random_graph(rng, 7, rng.uniform(0.5, 0.9)) for _ in range(12)]
+    known = {}
+
+    def oracle(g):
+        if g not in known:
+            known[g] = oracle_first_labeling(g, g.n + 2)
+        return known[g]
+
+    assert _structure_tables_hold(graphs, oracle, random.Random(26))
+    part_slots = solver._part_slots
+
+    def own_slot_only(adj, parts):
+        ranges, own = part_slots(adj, parts)
+        return ranges, [(i,) for i in range(len(own))]
+
+    def all_neighbors_outside(adj, parts):
+        ranges, own = part_slots(adj, parts)
+        return [(2 * deg, deg, deg, size) for _, deg, _, size in ranges], own
+
+    for mutant in (own_slot_only, all_neighbors_outside):
+        monkeypatch.setattr(solver, "_part_slots", mutant)
+        assert not _structure_tables_hold(graphs, oracle, random.Random(26)), mutant.__name__
 
 
 def test_eta_and_witness_match_the_breadth_first_oracle():
