@@ -5,11 +5,12 @@ Run from the root of a source checkout::
 
     PYTHONPATH=src python3 benchmarks/bench_search.py
 
-and it writes ``benchmarks/BENCH_25.json`` (``BENCH_24.json`` is the record
-from before each grown part structure was tested in the search once, on a
-slot per vertex, in place of the cliques inside it, ``BENCH_23.json`` from
-before the mirrored depths of regular graphs recorded complement
-images, ``BENCH_20.json`` from before depths recorded a mirrored key,
+and it writes ``benchmarks/BENCH_26.json`` (``BENCH_25.json`` is the record
+from before the root check tested grown structures on one slot per vertex,
+with the same nodes here, ``BENCH_24.json`` from before each grown part
+structure was tested in the search once, on a slot per vertex, in place of
+the cliques inside it, ``BENCH_23.json`` from before the mirrored depths of
+regular graphs recorded complement images, ``BENCH_20.json`` from before depths recorded a mirrored key,
 ``BENCH_18.json`` from before the memo keyed every depth where an edge
 check retires, and ``BENCH_15.json`` from before the complement cut and the
 symmetric-difference edge checks).
@@ -27,7 +28,8 @@ them; per graph, it records the number of depths that carry a memo key,
 the number of those that also record a mirrored key, the number of those
 that also record complement images, the t-slots of its grown part
 structures and the cliques of at least ``HALL_MIN_SIZE`` vertices inside
-them, whose tests theirs replace.
+them, whose tests theirs replace, all read off ``_setup``'s structures and
+steps.
 Node counts do not depend on the machine, so they are checked exactly: per
 graph they must sum to ``exact_eta``'s ``nodes_explored`` and to ``NODES``,
 and the first labeling found must verify.
@@ -39,10 +41,10 @@ import json
 from pathlib import Path
 
 import dlucky
-from dlucky import _search, solver
-from dlucky.solver import _clique_refutes, _setup, _top
+from dlucky import _search
+from dlucky.solver import HALL_MIN_SIZE, _clique_refutes, _setup, _top
 
-OUT = Path(__file__).resolve().parent / "BENCH_25.json"
+OUT = Path(__file__).resolve().parent / "BENCH_26.json"
 REPEATS = 5
 GRAPHS = {
     "K_8": lambda: dlucky.complete_graph(8),
@@ -80,13 +82,14 @@ def measure(name: str) -> tuple[list[dict], dict]:
     solved = dlucky.exact_eta(g, max_k=g.n + 2, vertex_cap=g.n)
     structures, steps, slots, regular = _setup(g)
     memos = [memo for *_, memo in steps if memo is not None]
-    cliques = dlucky.enumerate_maximal_cliques(g, min_size=3)
-    grown = [set().union(*parts) for parts in solver._root_structures(g, cliques)[1]]
-    tested = [q for q in cliques if len(q) >= solver.HALL_MIN_SIZE]
+    # the structures the kernel tests, once each, read off the steps' test lists
+    tests = {id(test): test for *_, hall, _ in steps if hall for test in hall[2]}.values()
     counts = {"memoized": len(memos), "mirrored": sum(memo[1] is not None for memo in memos),
               "complemented": sum(memo[2] is not None for memo in memos),
-              "structure_slots": sum(map(len, grown)),
-              "replaced_cliques": sum(any(inside.issuperset(q) for inside in grown) for q in tested)}
+              "structure_slots": sum(len(members) for members, _, part_of in structures
+                                     if part_of is not None),
+              "replaced_cliques": sum(len(members) >= HALL_MIN_SIZE for members, _, part_of in structures
+                                      if part_of is None) - sum(part_of is None for _, part_of in tests)}
     rows = []
     for k in range(1, solved.eta + 1):
         row = {"graph": name, "vertices": g.n, "edges": g.edge_count, "k": k}

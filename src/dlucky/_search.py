@@ -1,9 +1,11 @@
 """Backtracking kernel for the labeling search, and the t-range model it shares.
 
 :func:`part_hulls` and :func:`hall_fails` are the counting argument of
-Theorem 1 and of the cocktail-party optimum: the solver's root checks, the
-kernel's clique and structure tests and :mod:`dlucky.parts` all take their
-ranges from here; :func:`choice_fails` is the structure test.
+Theorem 1 and of the cocktail-party optimum, where a clique is the structure
+whose parts each hold one vertex.  :func:`part_slots` gives every structure
+one t-slot per vertex, and :func:`choice_fails` is its Hall test, the one
+routine behind the solver's root check and the kernel's tests;
+:mod:`dlucky.parts` takes its part hulls from :func:`part_hulls` too.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ def hall_fails(los, his) -> tuple[int, int] | None:
 def choice_fails(los, his, part_of) -> bool:
     """True when some choice of one range per part fails :func:`hall_fails`.
 
-    Range i is ``[los[i], his[i]]`` and belongs to part ``part_of[i]``.  A
+    Range i is ``[los[i], his[i]]`` and belongs to part ``part_of[i]``; a
+    ``part_of`` of None makes every range a part of its own, a clique's,
+    whose one choice :func:`hall_fails` tests directly.  A
     choice fails exactly when some interval ``[a, b]`` holds the chosen
     ranges of more than ``b - a + 1`` parts, and the choice that fills
     ``[a, b]`` most takes, from each part, a range inside it where the part
@@ -63,6 +67,8 @@ def choice_fails(los, his, part_of) -> bool:
     none.  An empty range (low end above high end) fails at its own low
     end, as in :func:`hall_fails`.
     """
+    if part_of is None:
+        return hall_fails(los, his) is not None
     least: dict = {}  # part -> the least high end of its ranges from a up
     ranges = sorted(zip(los, his, part_of), reverse=True)
     last = len(ranges) - 1
@@ -95,25 +101,37 @@ def part_hulls(parts, k) -> tuple[list[int], list[int]]:
     over P, and ``deg``, ``s`` are those of its vertex of largest s(v).
     Inside M a vertex of P is adjacent to exactly M \\ P, so ``deg(v) - s(v)``
     is the same on all of P, and the hull is ``[lo - k*|P|, deg + k*s - |P|]``.
-    A clique is the parts of one vertex each: see :func:`clique_ranges`.
+    A part of one vertex is that vertex's own range: see :func:`part_slots`.
     """
     return [lo - k * p for lo, _, _, p in parts], [deg + k * s - p for _, deg, s, p in parts]
 
 
-def clique_ranges(adj, q) -> list[tuple[int, int, int, int]]:
-    """The parts of the clique ``q``, one vertex each, in the form of :func:`part_hulls`.
+def part_slots(adj, members, part_of) -> list[tuple[int, int, int, int]]:
+    """One t-slot per vertex of a structure, in the form of :func:`part_hulls`.
 
-    A vertex v of q has ``s(v) = deg(v) - |q| + 1``: Theorem 1's pigeonhole.
+    ``members`` lists the structure's vertices part by part, and vertex
+    ``members[i]`` lies in part ``part_of[i]``; a ``part_of`` of None is a
+    clique, every part one vertex.  Slot i belongs to v = ``members[i]``, in
+    part P of the structure's vertex set M: it is ``(deg(v) + s(v), deg(v),
+    s(v), |P|)``, so its :func:`part_hulls` range is v's own t-range.
+    Inside M, v is adjacent to exactly M \\ P, so ``s(v) = deg(v) - |M| +
+    |P|``; on a clique ``s(v) = deg(v) - |M| + 1``, Theorem 1's pigeonhole.
+    The clique, by far the most frequent structure, takes a path of its own
+    with no part sizes to count.
     """
-    inside = len(q) - 1  # deg(v) - s(v) on q
-    return [(2 * d - inside, d, d - inside, 1) for v in q for d in [len(adj[v])]]
+    if part_of is None:
+        inside = len(members) - 1  # deg(v) - s(v) on the clique
+        return [(2 * d - inside, d, d - inside, 1) for v in members for d in [len(adj[v])]]
+    sizes = [part_of.count(p) for p in part_of]
+    return [(2 * d - outside, d, d - outside, size) for v, size in zip(members, sizes)
+            for d, outside in [(len(adj[v]), len(members) - size)]]  # outside = deg(v) - s(v)
 
 
 def _shift(lo, hi, own, outside, a, b):
     # placing label l on a vertex moves its own slots' (lo, hi) by
-    # (+(k-l), -(l-1)), for a grown structure the slots of its whole part;
-    # placing it on a vertex outside a clique or structure moves the slot
-    # of each neighbor inside by (+(l-1), -(k-l)); negated a, b undo
+    # (+(k-l), -(l-1)), in a structure the slots of its whole part; placing
+    # it on a vertex outside a structure moves the slot of each neighbor
+    # inside by (+(l-1), -(k-l)); negated a, b undo
     for i in own:
         lo[i] += b
         hi[i] -= a
@@ -123,15 +141,11 @@ def _shift(lo, hi, own, outside, a, b):
 
 
 def _hall_refutes(lo, hi, hall, ell, k) -> bool:
-    """Shift the slots for label ``ell``; True, with the shift undone, when a
-    clique fails Hall or a structure has a choice that does."""
-    own, outside, cliques, structures = hall
+    """Shift the slots for label ``ell``; True, with the shift undone, when
+    some structure has a choice of one slot per part that fails Hall."""
+    own, outside, tests = hall
     _shift(lo, hi, own, outside, ell - 1, k - ell)
-    for get in cliques:
-        if hall_fails(get(lo), get(hi)):
-            _shift(lo, hi, own, outside, 1 - ell, ell - k)
-            return True
-    for get, part_of in structures:
+    for get, part_of in tests:
         if choice_fails(get(lo), get(hi), part_of):
             _shift(lo, hi, own, outside, 1 - ell, ell - k)
             return True
@@ -167,22 +181,20 @@ def search(k, steps, slots, top):
     ``steps[d]`` is ``(v, neighbors of v, checks, hall, memo)``: the vertex
     placed at depth ``d``, the edges ``(u, w)`` whose two endpoint sums are
     final once it is placed, ``hall``, which is None or ``(own, outside,
-    cliques, structures)``, and ``memo``, which is None or ``(live, mirror,
+    tests)``, and ``memo``, which is None or ``(live, mirror,
     complement)``: ``live`` is an ``itemgetter`` of sums, ``mirror`` is
     None or one, and ``complement`` is None or the pairs from which
     :func:`memo_tables` makes ``C_d``.
-    ``slots[i]`` belongs to one vertex v of one clique or grown part
-    structure with vertex set M, v in its part P (a clique's parts are its
-    vertices), in the form of :func:`part_hulls`; slot i keeps the range
-    ``[lo[i], hi[i]]`` of ``t(v) = deg(v) - l(P) + sum of l(w) over w in
-    N(v) \\ M`` under the labels placed so far, from :func:`part_hulls`
-    with none placed.  Placing v moves the slots in ``own`` (those of the
-    vertices of v's part, v's own on a clique) and ``outside`` (v is
-    outside their M, next to their vertex).  After a placement passes its
-    edge checks, each clique in ``cliques`` (an ``itemgetter`` of its
-    slots) must pass :func:`hall_fails` and each structure in
-    ``structures`` (an ``itemgetter`` of its slots and the part of each)
-    must pass :func:`choice_fails`, or the placement is undone.
+    ``slots[i]`` belongs to one vertex v of one structure with vertex set M,
+    v in its part P (a clique's parts are its vertices), from
+    :func:`part_slots`; slot i keeps the range ``[lo[i], hi[i]]`` of
+    ``t(v) = deg(v) - l(P) + sum of l(w) over w in N(v) \\ M`` under the
+    labels placed so far, from :func:`part_hulls` with none placed.  Placing
+    v moves the slots in ``own`` (those of the vertices of v's part, v's own
+    on a clique) and ``outside`` (v is outside their M, next to their
+    vertex).  After a placement passes its edge checks, each structure in
+    ``tests``, an ``itemgetter`` of its slots and the part of each (None on
+    a clique), must pass :func:`choice_fails`, or the placement is undone.
 
     ``live`` picks the sums that decide whether the labels not yet placed
     can complete a labeling; their values on entry to depth ``d`` are its

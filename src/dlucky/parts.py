@@ -3,13 +3,13 @@
 The paper gets the optimum of the cocktail-party graphs by counting over the
 parts of their multipartite base: each part needs a t-value that no other
 part uses, so when the part ranges fail Hall's condition no labeling into
-1..k exists (:func:`_search.part_hulls` gives the argument; parts of one
-vertex give the solver's clique check).  The ranges only widen as k grows,
-so the part bound is the least k whose ranges pass, and every smaller k
-fails.
+1..k exists (:func:`_search.part_hulls` gives the argument; a clique is the
+structure whose parts each hold one vertex).  The ranges only widen as k
+grows, so the part bound is the least k whose ranges pass, and every
+smaller k fails.
 
 :func:`grow_parts` grows a structure from a maximal clique.  The solver grows
-one from each large maximal clique (see :func:`solver._root_structures`);
+one from each large maximal clique (see :func:`solver._grow`);
 :func:`lower_bound_hall` grows one from a single greedily chosen maximal
 clique, so it never lists cliques, and keeps the better of the grown parts
 and the seed clique alone.  On ``cocktail(n, t, r)`` growing finds the t
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from ._search import clique_ranges, hall_fails, part_hulls
+from ._search import hall_fails, part_hulls, part_slots
 from .bounds import _greedy_clique
 from .graph import Graph
 
@@ -137,7 +137,7 @@ def lower_bound_hall_witness(g: Graph) -> tuple[int, HallCertificate]:
     parts = grow_parts(g, seed)
     ranges = part_ranges(g, parts)
     low, interval = _least_passing(ranges)
-    alone_ranges = clique_ranges(g._adj, seed)
+    alone_ranges = part_slots(g._adj, seed, None)
     alone_low, alone_interval = _least_passing(alone_ranges)
     if alone_low > low:
         parts, ranges = [[v] for v in seed], alone_ranges

@@ -1,8 +1,8 @@
 """Exact d-lucky numbers on small graphs by exhaustive backtracking.
 
-Before a label budget k reaches the search, a clique check (Theorem 1's
-pigeonhole argument, see :func:`_search.clique_ranges`) and a part check
-(below) try to refute it outright.  A budget that survives is searched:
+Before a label budget k reaches the search, the root check (below; on a
+clique it is Theorem 1's pigeonhole argument) tries to refute it
+outright.  A budget that survives is searched:
 labels are assigned in breadth-first vertex order (from vertex 0, ties by
 index) and checking edge {u, v} is deferred until every vertex of
 N(u) Δ N(v) is labeled.  A common neighbor adds its label to both sums, so
@@ -11,26 +11,35 @@ prune wrongly.  On K_8 minus (6, 7) most pairs share every neighbor but each
 other, and checking at the last vertex of N(u) ∪ N(v) instead took 13,437
 nodes against 27.  Budgets are tried k = 1, 2, ... so the first
 success is the exact minimum, and each smaller budget is certified
-infeasible either by the root checks or by exhaustion.
+infeasible either by the root check or by exhaustion.
 
-The part check counts over the parts of a complete multipartite subgraph, as
-the paper does for the cocktail-party graphs: each part needs a t-value that
-no other part uses, so when the parts' t-ranges fail Hall's condition no
-labeling into 1..k exists (:func:`_search.part_hulls` gives the argument).
-Parts of one vertex give the clique check, so both checks and the kernel's
-clique and structure tests take their ranges from that one routine.  The
-structures come from :func:`_root_structures`: every clique as parts of one
-vertex, and the structures :func:`parts.grow_parts` grows from the large
-maximal cliques.  Every clique range and part hull only widens as k grows,
-so once a budget passes both root checks every larger one does:
-:func:`_solve` tests nothing more from there, and the budgets the root
-checks refute are exactly those below the least one they pass.  Only
-budgets are refuted, never a subtree, so the search, its visit order and
-the witness do not change; ``nodes_explored`` can only fall.  On
-``cocktail(2,6,1)`` the six base parts of two vertices refute k = 2, which
-the clique check passes: the search at k = 2 is skipped, and the solve
-takes 36 nodes instead of 405 (39 when the search tested the structure's
-cliques one by one, below).
+The root check counts over the parts of a complete multipartite subgraph,
+as the paper does for the cocktail-party graphs: each part needs a t-value
+that no other part uses, so when some choice of one vertex per part has
+t-ranges that fail Hall's condition no labeling into 1..k exists
+(:func:`_search.part_hulls` gives the argument).  A clique is the structure
+whose parts each hold one vertex, and its one choice is Theorem 1's count.
+The root check and the kernel share one form of a structure,
+``(members, slots, part_of)`` (see :func:`_setup`): one t-slot per vertex
+from :func:`_search.part_slots`, tested by :func:`_search.choice_fails`.
+The root check tests every maximal clique of 3 or more vertices and the
+structures :func:`_grow` grows from the large maximal cliques.  Every
+vertex's t-range only widens as k grows, so once a budget passes the root
+check every larger one does: :func:`_solve` tests nothing more from there,
+and the budgets the root check refutes are exactly those below the least
+one it passes.  Only budgets are refuted, never a subtree, so the search,
+its visit order and the witness do not change; ``nodes_explored`` can only
+fall.  On ``cocktail(2,6,1)`` the six base parts of two vertices refute
+k = 2, which the cliques pass: the search at k = 2 is skipped, and the
+solve takes 36 nodes instead of 405 (39 when the search tested the
+structure's cliques one by one, below).
+
+The root check tests a grown structure on its vertices' own t-ranges, as
+the search does, not on the hull of each part's ranges.  Each vertex's
+range lies inside its part's hull, so every choice fails where the hulls
+fail, and the check refutes every budget the hulls would.  On K_10 minus
+the edges 04, 05, 07, 49 and 68 it refutes k = 2, which the hulls pass,
+and the solve takes 23 nodes instead of 25.
 
 Inside the search the same count runs after every placement that passes its
 edge checks.  Let M be the vertex set of a structure and v a vertex of its
@@ -98,11 +107,11 @@ sum of a vertex with no placed neighbor is its degree, so whether some
 labels of the remaining vertices pass every check still to come depends only
 on d and the current sums of the live vertices: those with a check at depth
 >= d and a neighbor placed before d.  The search below the entry misses no
-labeling, because neither clique check removes one; so when it exhausts
+labeling, because no Hall test removes one; so when it exhausts
 depth d, no completion exists, and none exists for any later entry to d
 with the same live sums.  The kernel records those sums as the depth's key
 and backtracks from a later entry with a recorded key (a memo hit) without
-placing a label.  The clique ranges are left out of the key: they can cut
+placing a label.  The Hall slots' ranges are left out of the key: they can cut
 placements but never decide whether a completion exists.  Only subtrees
 without a labeling are skipped, so each budget keeps its outcome and its
 first labeling, and the nodes of the remaining subtrees are visited in the
@@ -229,8 +238,8 @@ never hit, and cost a third more time.  (The 420 regular graphs are
 connected, with degree 2-5 and 7-14 vertices, random pairings, seed 1.)
 
 Witnesses are the first labeling found, i.e. the lexicographically smallest
-one with respect to the search's vertex order; neither clique check, the part
-check, the memo, its mirrored keys and complement images nor the complement
+one with respect to the search's vertex order; neither the root check nor
+the kernel's Hall tests, the memo, its mirrored keys and complement images nor the complement
 cut removes the first labeling, so none of them changes a witness.
 
 The search tests cliques of at least ``HALL_MIN_SIZE`` = 4 vertices: on a
@@ -255,7 +264,7 @@ clique grown too::
     1,500 random, 7-9  1,101,791  5.1 s  444,185  2.1 s   444,185  2.0 s   444,185  2.1 s
 
 These gates give the same nodes on these graphs (for the lone clique, as
-the argument in :func:`_root_structures` predicts).  The
+the argument in :func:`_grow` predicts).  The
 ``cocktail(3,6,1)`` row is measured with the search as it is now: edges
 checked at N(u) Δ N(v), and the structure, which every gate grows from its
 729 cliques of 6, tested in place of them (median of 5 solves, one with
@@ -305,7 +314,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import _search
-from .bounds import enumerate_maximal_cliques
+from .bounds import _masks, enumerate_maximal_cliques
 from .graph import Graph, bfs_order
 from .labeling import Labeling
 
@@ -331,12 +340,12 @@ class SolveResult(NamedTuple):
 
     ``eta is None`` means every budget up to ``k_tried`` was proved
     infeasible.  On success the witness verifies with zero conflicts, and
-    minimality is certified at every smaller budget either by the clique
+    minimality is certified at every smaller budget either by the root
     check or by an exhausted search.  On a regular graph a search is
     exhausted over the labels 1..(k + 1) // 2 on its first vertex: by the complement cut (module docstring) a labeling
     that starts higher has a complement that starts lower.
     ``nodes_explored`` counts label placements over all budgets searched; a
-    budget refuted by the clique check adds none.  The failure memo, with
+    budget refuted by the root check adds none.  The failure memo, with
     the mirrored keys a graph automorphism gives it and, on a regular
     graph, their complement images (module docstring), skips only
     subtrees without a labeling: it lowers ``nodes_explored`` and changes
@@ -353,8 +362,7 @@ class SolveResult(NamedTuple):
         return self.eta is None
 
 
-def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list,
-             grown: list[list[list[int]]]) -> tuple[tuple, tuple, bool]:
+def _prepare(g: Graph, tested: list) -> tuple[tuple, tuple, bool]:
     """The kernel's steps and t-slots, and whether the complement cut applies.
 
     Per BFS position: the vertex, its neighbors, its edge checks, its Hall
@@ -368,14 +376,12 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list,
     the two neighbor sets as bitmasks over positions.  The cut applies (see
     :func:`_top`) when the graph is regular.
 
-    Every vertex of each structure in ``grown`` (the parts that
-    :func:`_root_structures` grew) gets a t-slot, from :func:`_part_slots`,
-    and the structure one choice test (:func:`_search.choice_fails`).
-    Every vertex of every clique in ``cliques`` with at least
-    ``HALL_MIN_SIZE`` vertices that lies inside no grown structure gets a
-    t-slot too, its part from ``structures``, which starts with the
-    cliques' ranges, in order, and the clique a Hall test.  A placement is
-    tested on the cliques and structures whose slots it moves.
+    Each structure ``(members, slots, part_of)`` in ``tested`` (see
+    :func:`_setup`) hands the kernel its slots, one per member, and one
+    test, :func:`_search.choice_fails` on them.  Placing a member moves the
+    slots of its part as its own, placing a vertex outside the structure
+    moves the slots of its neighbors inside, and a placement is tested on
+    every structure whose slots it moves.
     """
     adj = g._adj
     order = bfs_order(g)
@@ -389,26 +395,25 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list,
         ready[(bits[u] ^ bits[v]).bit_length() - 1].append((u, v))
 
     slots: list[tuple[int, int, int, int]] = []
-    # vertex -> (its own slots, slots it neighbors from outside, cliques to test, structures to test)
-    hall: defaultdict[int, tuple[list, list, list, list]] = defaultdict(lambda: ([], [], [], []))
-    covered = [set().union(*parts) for parts in grown] if grown else ()
-    for q, ranges in zip(cliques, structures):
-        if len(q) < HALL_MIN_SIZE or covered and any(inside.issuperset(q) for inside in covered):
-            continue
+    # vertex -> (its own slots, slots it neighbors from outside, structures to test)
+    hall: defaultdict[int, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
+    for members, ranges, part_of in tested:
         first = len(slots)
         slots.extend(ranges)
-        for i, v in enumerate(q, first):
-            hall[v][0].append(i)
-        _enter_tests(hall, adj, q, first, 2, itemgetter(*range(first, len(slots))))
-    for parts in grown:
-        ranges, own = _part_slots(adj, parts)
-        members = [v for part in parts for v in part]
-        first = len(slots)
-        slots.extend(ranges)
-        for v, offsets in zip(members, own):
-            hall[v][0].extend([first + j for j in offsets])
-        part_of = tuple([p for p, part in enumerate(parts) for _ in part])
-        _enter_tests(hall, adj, members, first, 3, (itemgetter(*range(first, len(slots))), part_of))
+        inside = set(members)
+        moved = set(inside)
+        for i, v in enumerate(members, first):
+            if part_of is None:
+                hall[v][0].append(i)
+            else:
+                hall[v][0].extend([j for j, p in enumerate(part_of, first) if p == part_of[i - first]])
+            for w in adj[v]:
+                if w not in inside:
+                    hall[w][1].append(i)
+                    moved.add(w)
+        test = (itemgetter(*range(first, len(slots))), part_of)
+        for w in moved:
+            hall[w][2].append(test)
     live = _live_sets(bits, ready) if g.n > MEMO_OFF_UP_TO else [None] * g.n
     regular = len(set(map(len, adj))) == 1
     memos = [None] * g.n
@@ -416,21 +421,6 @@ def _prepare(g: Graph, cliques: list[tuple[int, ...]], structures: list,
         memos = _memos(order, bits, live, _symmetries(g, order), regular)
     steps = tuple([(v, adj[v], ready[d], hall.get(v), memos[d]) for d, v in enumerate(order)])
     return steps, tuple(slots), regular
-
-
-def _enter_tests(hall, adj, members, first, kind, test) -> None:
-    """Enter the slots ``first + i`` of ``members[i]`` in the outside lists of
-    their neighbors outside ``members``, and ``test`` in list ``kind`` of
-    every vertex whose placement moves one of those slots."""
-    inside = set(members)
-    moved = set(inside)
-    for i, v in enumerate(members, first):
-        for w in adj[v]:
-            if w not in inside:
-                hall[w][1].append(i)
-                moved.add(w)
-    for w in moved:
-        hall[w][kind].append(test)
 
 
 def _live_sets(bits, ready) -> list:
@@ -475,7 +465,7 @@ def _symmetries(g: Graph, order: list[int]) -> list[list[int]]:
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    nbits = [sum(1 << w for w in ws) for ws in adj]  # neighbor sets as bitmasks over vertices
+    nbits = _masks(g)  # neighbor sets as bitmasks over vertices
     identity = list(range(n))
     sigma = identity[:]
     used = 1 << order[0]  # the images of the vertices placed so far
@@ -549,75 +539,47 @@ def _memos(order: list[int], bits: list[int], live: list, symmetries: list[list[
     return memos
 
 
-def _part_slots(adj, parts: list[list[int]]) -> tuple[list, list]:
-    """The t-slots of a grown structure, one per vertex, and what a placement moves.
+def _grow(g: Graph, cliques: list[tuple[int, ...]]) -> list:
+    """The structures :func:`parts.grow_parts` grows from the maximal cliques of
+    more than ``HALL_MIN_SIZE`` vertices, as ``(members, slots, part_of)``.
 
-    Slot i is the i-th vertex v of the parts read in order, in the form of
-    :func:`_search.part_hulls`: ``(deg(v) + s(v), deg(v), s(v), |P|)`` for
-    v in part P, with ``s(v) = |N(v) \\ M| = deg(v) - |M| + |P|``, so its
-    range is v's own t-range.  ``own[i]`` lists the slots, by offset, that
-    placing v moves as its own: every slot of P, as ``t`` subtracts the
-    labels of all of P.
+    One is kept when some part has 2 or more vertices.  A clique inside the
+    vertices of a kept structure is not grown (all 64 cliques of
+    ``cocktail(2,6,1)`` lie in the first one), so every kept structure holds
+    a seed clique that no earlier one holds, and none is kept twice.  With
+    fewer than two such cliques nothing is grown: a vertex that could join a
+    lone clique Q would lie in a second one, Q minus the member it misses
+    plus itself.
     """
-    size = sum(map(len, parts))
-    ranges = []
-    own = []
-    for part in parts:
-        outside = size - len(part)  # deg(v) - s(v) on this part
-        offsets = tuple(range(len(ranges), len(ranges) + len(part)))
-        for v in part:
-            d = len(adj[v])
-            ranges.append((2 * d - outside, d, d - outside, len(part)))
-            own.append(offsets)
-    return ranges, own
-
-
-def _root_structures(g: Graph, cliques: list[tuple[int, ...]]) -> tuple[list, list]:
-    """The parts (see :func:`_search.part_hulls`) of every structure the root
-    check tests, and the grown parts among them as vertex lists.
-
-    First each clique of ``cliques``, in order, as parts of one vertex
-    (:func:`_search.clique_ranges`).  Then the structures grown by
-    :func:`parts.grow_parts` from the maximal cliques of more than
-    ``HALL_MIN_SIZE`` vertices (see the module docstring); one is kept when
-    some part has 2 or more vertices.  A clique inside the vertices of a kept
-    structure is not grown (all 64 cliques of ``cocktail(2,6,1)`` lie in the
-    first one), so every kept structure holds a seed clique that no earlier
-    one holds, and none is kept twice.  With fewer than two such cliques
-    nothing is grown: a vertex that could join a lone clique Q would lie in
-    a second one, Q minus the member it misses plus itself.  The kept
-    structures' parts, in order, are the second list, which :func:`_prepare`
-    gives one slot per vertex and one choice test; the cliques inside them
-    get neither.
-    """
-    structures = [_search.clique_ranges(g._adj, q) for q in cliques]
-    grown: list[list[list[int]]] = []
+    grown: list = []
     big = [q for q in cliques if len(q) > HALL_MIN_SIZE]
     if len(big) < 2:
-        return structures, grown
-    from .parts import grow_parts, part_ranges  # not at module level: see the parts docstring
+        return grown
+    from .parts import grow_parts  # not at module level: see the parts docstring
 
-    grown_sets = []  # the vertex set of each kept structure
     for q in big:
-        if any(grown_set.issuperset(q) for grown_set in grown_sets):
+        if any(set(members).issuperset(q) for members, _, _ in grown):
             continue
         parts = grow_parts(g, q)
         if len(parts) < sum(map(len, parts)):
-            grown_sets.append(set().union(*parts))
-            grown.append(parts)
-            structures.append(part_ranges(g, parts))
-    return structures, grown
+            members = [v for part in parts for v in part]
+            part_of = tuple([p for p, part in enumerate(parts) for _ in part])
+            grown.append((members, _search.part_slots(g._adj, members, part_of), part_of))
+    return grown
 
 
 def _clique_refutes(structures: list, k: int) -> bool:
-    """True when some clique or part structure proves that no d-lucky labeling into 1..k exists.
+    """True when some structure proves that no d-lucky labeling into 1..k exists.
 
-    A structure from :func:`_root_structures` refutes k when its part ranges
-    (:func:`_search.part_hulls`, which gives the argument) fail
-    :func:`_search.hall_fails`.
+    A structure ``(members, slots, part_of)`` from :func:`_setup` refutes k
+    when some choice of one vertex per part has t-ranges under labels 1..k
+    (:func:`_search.part_hulls` of its slots, which gives the argument) that
+    fail Hall's condition: :func:`_search.choice_fails`, which on a clique
+    is :func:`_search.hall_fails`.
     """
-    for parts in structures:
-        if _search.hall_fails(*_search.part_hulls(parts, k)):
+    for _, slots, part_of in structures:
+        los, his = _search.part_hulls(slots, k)
+        if _search.choice_fails(los, his, part_of):
             return True
     return False
 
@@ -628,11 +590,26 @@ def _top(k: int, regular: bool) -> int:
 
 
 def _setup(g: Graph) -> tuple[list, tuple, tuple, bool]:
-    """The root structures over the maximal cliques of 3 or more vertices, and
-    :func:`_prepare`'s steps, slots and complement flag from them."""
+    """The structures of the root check, and :func:`_prepare`'s steps, slots
+    and complement flag from those the search tests.
+
+    A structure is ``(members, slots, part_of)``: its vertices part by part,
+    their t-slots from :func:`_search.part_slots`, and the part of each, or
+    None on a clique, whose parts are its vertices.  The root check tests
+    every maximal clique of 3 or more vertices and every structure
+    :func:`_grow` keeps.  The search tests each grown structure and each
+    clique of at least ``HALL_MIN_SIZE`` vertices that lies inside none of
+    them: a maximal clique inside a structure's vertex set M is a choice of
+    one vertex per part, as a part it missed would extend it, so the
+    structure's test counts over it.
+    """
+    adj = g._adj
     cliques = enumerate_maximal_cliques(g, min_size=3)
-    structures, grown = _root_structures(g, cliques)
-    return (structures, *_prepare(g, cliques, structures, grown))
+    grown = _grow(g, cliques)
+    singles = [(q, _search.part_slots(adj, q, None), None) for q in cliques]
+    tested = [single for single in singles if len(single[0]) >= HALL_MIN_SIZE
+              and not (grown and any(set(members).issuperset(single[0]) for members, _, _ in grown))]
+    return (singles + grown, *_prepare(g, tested + grown))
 
 
 def _solve(g: Graph, budgets) -> SolveResult:
@@ -674,7 +651,7 @@ def exact_eta(g: Graph, max_k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Sol
     """Least budget k <= max_k admitting a d-lucky labeling, with witness.
 
     Budgets are tried in increasing order, so success at k certifies that
-    every smaller budget was refuted by the clique check or exhausted by the
+    every smaller budget was refuted by the root check or exhausted by the
     search.  Graphs above ``vertex_cap`` vertices are refused; raise the cap
     explicitly for bigger (slower) runs.
     """

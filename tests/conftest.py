@@ -254,14 +254,15 @@ def reference_search(k, steps, slots, top, refuted=None):
     ``(2 deg(x), p(x))``, it records ``C - key`` and ``C - mirror`` too,
     for ``C(x) = 2 deg(x) + (k + 1) p(x)``.  The kernel must return the same
     ``(labels, nodes)``.  Pass a ``collections.defaultdict(set)`` as
-    ``refuted`` to read the keys recorded per depth.  A structure entry
-    ``(get, part_of)`` fails when some choice of one of its slots per part,
-    each of them tried, fails the Hall test."""
+    ``refuted`` to read the keys recorded per depth.  A test ``(get,
+    part_of)`` fails when some choice of one of its slots per part, each of
+    them tried, fails the Hall test; a ``part_of`` of None makes every slot
+    a part of its own."""
     from dlucky._search import hall_fails, part_hulls
 
     def some_choice_fails(los, his, part_of):
         parts = collections.defaultdict(list)
-        for i, p in enumerate(part_of):
+        for i, p in enumerate(part_of or range(len(los))):
             parts[p].append(i)
         return any(hall_fails([los[i] for i in choice], [his[i] for i in choice])
                    for choice in itertools.product(*parts.values()))
@@ -305,10 +306,9 @@ def reference_search(k, steps, slots, top, refuted=None):
                 if hall is None:
                     labels[v] = ell
                     break
-                own, outside, cliques, structures = hall
+                own, outside, tests = hall
                 shift(lo, hi, own, outside, ell - 1, k - ell)
-                if not (any(hall_fails(get(lo), get(hi)) for get in cliques)
-                        or any(some_choice_fails(get(lo), get(hi), part_of) for get, part_of in structures)):
+                if not any(some_choice_fails(get(lo), get(hi), part_of) for get, part_of in tests):
                     labels[v] = ell
                     break
                 shift(lo, hi, own, outside, 1 - ell, ell - k)

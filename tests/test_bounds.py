@@ -21,7 +21,7 @@ from dlucky import (
     max_label,
     verify,
 )
-from dlucky._search import choice_fails, clique_ranges, hall_fails, part_hulls
+from dlucky._search import choice_fails, hall_fails, part_hulls, part_slots
 from dlucky.bounds import _best_clique, _greedy_clique, _masks, _omega
 from dlucky.parts import (
     HallCertificate,
@@ -332,11 +332,13 @@ def test_hall_fails_is_near_linear_when_ranges_share_a_low_end():
     assert time.perf_counter() - start < 2
 
 
-def test_clique_ranges_match_the_parts_of_one_vertex():
-    # the clique fast path gives what the general part builder gives
+def test_part_slots_on_a_clique_match_the_parts_of_one_vertex():
+    # part_slots' clique fast path gives what its general path and the part
+    # hull builder give on one-vertex parts
     for g in connected_graphs(6):
         for q in enumerate_maximal_cliques(g):
-            assert clique_ranges(g._adj, q) == part_ranges(g, [[v] for v in q])
+            slots = part_slots(g._adj, q, None)
+            assert slots == part_slots(g._adj, q, tuple(range(len(q)))) == part_ranges(g, [[v] for v in q])
 
 
 COCKTAILS = [(2, 6, 1), (3, 10, 1), (2, 14, 1), (4, 12, 1), (2, 30, 3), (5, 100, 5)]

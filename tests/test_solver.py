@@ -23,8 +23,8 @@ from dlucky import (
     verify,
 )
 from dlucky import _search, solver
-from dlucky.bounds import enumerate_maximal_cliques
-from dlucky.solver import _clique_refutes, _root_structures, _setup, _top
+from dlucky.parts import part_ranges
+from dlucky.solver import _clique_refutes, _setup, _top
 from conftest import (
     connected_graphs,
     generalized_petersen,
@@ -197,7 +197,7 @@ def test_search_matches_the_per_label_reference():
         mirrored += sum(memo[1] is not None for memo in memos)
         complemented += sum(memo[2] is not None for memo in memos)
         hall_steps += any(step[3] is not None for step in steps)
-        structured += any(step[3] is not None and step[3][3] for step in steps)
+        structured += any(part_of is not None for *_, hall, _ in steps if hall for _, part_of in hall[2])
         eta = exact_eta(g, max_k=g.n + 2, vertex_cap=g.n).eta
         for k in range(1, eta + 1):
             top = _top(k, regular)
@@ -266,44 +266,79 @@ def test_clique_refutation_agrees_with_oracle():
     assert refuted > 0
 
 
+def _grown(structures) -> list:
+    """The grown structures among ``_setup``'s, those with a part of more than one vertex."""
+    return [structure for structure in structures if structure[2] is not None]
+
+
+def _hulls_refute(g, members, part_of, k) -> bool:
+    """Whether the hulls of the structure's parts (:func:`parts.part_ranges`)
+    fail Hall's condition at k, a weaker check than the one on its vertices'
+    own ranges."""
+    parts = [[v for v, q in zip(members, part_of) if q == p] for p in sorted(set(part_of))]
+    return _search.hall_fails(*_search.part_hulls(part_ranges(g, parts), k)) is not None
+
+
 def test_part_refutation_agrees_with_oracle(monkeypatch):
     # with the gate at 2, structures grow from triangles too, so graphs this
-    # small get part checks; each budget one refutes must have no labeling
+    # small get part checks; each budget one refutes must have no labeling,
+    # and the vertices' own ranges must refute every budget the hulls of
+    # their parts refute, and some that the hulls pass.  The random graphs
+    # are dense
     monkeypatch.setattr(solver, "HALL_MIN_SIZE", 2)
-    refuted = beyond_cliques = 0
-    for g in connected_graphs(5):
-        cliques = enumerate_maximal_cliques(g, min_size=3)
-        structures, _ = _root_structures(g, cliques)
-        singles, grown = structures[: len(cliques)], structures[len(cliques) :]
+    rng = random.Random(26)
+    dense = [random_graph(rng, 7, rng.uniform(0.6, 0.95)) for _ in range(30)]
+    refuted = beyond_cliques = beyond_hulls = 0
+    for g in connected_graphs(6) + tuple(dense):
+        structures = _setup(g)[0]
+        grown = _grown(structures)
         for k in range(1, g.n + 1):
-            if _clique_refutes(grown, k):
-                assert oracle_exists_labeling(g, k) is None
-                refuted += 1
-                beyond_cliques += not _clique_refutes(singles, k)
-    assert refuted > 0 and beyond_cliques > 0
+            hulls = any(_hulls_refute(g, members, part_of, k) for members, _, part_of in grown)
+            if not _clique_refutes(grown, k):
+                # the ranges only widen as k grows, so no larger budget is refuted
+                assert not hulls
+                break
+            assert oracle_exists_labeling(g, k) is None
+            refuted += 1
+            beyond_cliques += not _clique_refutes([s for s in structures if s[2] is None], k)
+            beyond_hulls += not hulls
+    assert refuted > 0 and beyond_cliques > 0 and beyond_hulls > 0
+
+
+def test_the_root_check_tests_grown_structures_on_vertex_slots():
+    # two structures grow from the cliques of 7; the hulls of their parts
+    # pass k = 2, and the ranges of some choice of one vertex per part fail
+    g = k_minus(10, (0, 4), (0, 5), (0, 7), (4, 9), (6, 8))
+    structures = _setup(g)[0]
+    grown = _grown(structures)
+    assert [part_of for *_, part_of in grown] == [(0, 0, 1, 2, 3, 4, 4, 5), (0, 1, 2, 3, 3, 4, 5, 5, 6)]
+    assert not any(_hulls_refute(g, members, part_of, 2) for members, _, part_of in grown)
+    assert _clique_refutes(grown, 2) and not _clique_refutes(grown, 3)
+    assert not _clique_refutes([s for s in structures if s[2] is None], 2)
+    assert oracle_exists_labeling(g, 2) is None
+    res = exact_eta(g, max_k=g.n + 2)
+    assert (res.eta, tuple(res.witness.labels), res.nodes_explored) == (3, (1, 1, 2, 3, 3, 2, 2, 3, 3, 3), 23)
 
 
 def test_part_structures_are_built_for_two_large_cliques_only():
     k6 = complete_graph(6)
-    assert _root_structures(k6, enumerate_maximal_cliques(k6, min_size=3)) == (
-        [_search.clique_ranges(k6._adj, tuple(range(6)))], [])
+    assert _setup(k6)[0] == [(tuple(range(6)), _search.part_slots(k6._adj, range(6), None), None)]
     g = build_cocktail(2, 6, 1).graph
-    cliques = enumerate_maximal_cliques(g, min_size=3)
-    assert len(cliques) == 64  # every base transversal; all grow into one structure
-    structures, grown = _root_structures(g, cliques)
-    assert grown == [[[2 * j, 2 * j + 1] for j in range(6)]]  # the six base parts
-    singles, (parts,) = structures[:64], structures[64:]
+    structures, steps, slots, _ = _setup(g)
+    singles = [s for s in structures if s[2] is None]
+    assert len(singles) == 64  # every base transversal; all grow into one structure
+    grown = _grown(structures)
+    (members, ranges, part_of), = grown
+    assert members == list(range(12))
+    assert part_of == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5)  # the six base parts
     # in the search the 64 cliques get no slots: the structure has one per
     # base vertex, and every vertex's tables test it and no clique
-    _, steps, slots, _ = _setup(g)
     assert len(slots) == 12
-    tables = [step[3] for step in steps]
-    assert all(not cliques_tested and len(tested) == 1 for *_, cliques_tested, tested in tables)
-    assert tables[0][3][0][1] == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5)
-    assert all(size == 1 for single in singles for *_, size in single)
-    assert [size for *_, size in parts] == [2] * 6
-    assert _clique_refutes([parts], 2) and not _clique_refutes(singles, 2)
-    assert not _clique_refutes([parts], 3)
+    assert all(len(tests) == 1 and tests[0][1] == part_of for *_, tests in (step[3] for step in steps))
+    assert all(size == 1 for _, single, _ in singles for *_, size in single)
+    assert [size for *_, size in ranges] == [2] * 12
+    assert _clique_refutes(grown, 2) and not _clique_refutes(singles, 2)
+    assert not _clique_refutes(grown, 3)
     assert exists_labeling(g, 2) is None
     found = exists_labeling(g, 3)
     assert found is not None and verify(g, found).is_d_lucky
@@ -319,13 +354,12 @@ def _structure_tables_hold(graphs, oracle, rng) -> bool:
     counts as 1 or k, whichever gives the end."""
     tested = 0
     for g in graphs:
-        cliques = enumerate_maximal_cliques(g, min_size=3)
-        structures, grown = _root_structures(g, cliques)
+        structures, steps, slots, regular = _setup(g)
+        grown = _grown(structures)
         if not grown:
             continue
         tested += 1
-        steps, slots, regular = solver._prepare(g, cliques, structures, grown)
-        entries = {id(e): e for step in steps if step[3] for e in step[3][3]}.values()
+        entries = {id(e): e for *_, hall, _ in steps if hall for e in hall[2] if e[1] is not None}.values()
         indices = sorted(get(range(len(slots))) for get, _ in entries)
         nbrs = [set(g.neighbors(v)) for v in range(g.n)]
         for _ in range(2):
@@ -336,9 +370,10 @@ def _structure_tables_hold(graphs, oracle, rng) -> bool:
             for v, *_, hall, _ in prefix:
                 if hall is not None:
                     _search._shift(lo, hi, hall[0], hall[1], labels[v] - 1, k - labels[v])
-            for parts, slot_of in zip(grown, indices):
-                inside = set().union(*parts)
-                for i, (v, part) in zip(slot_of, [(v, part) for part in parts for v in part]):
+            for (members, _, part_of), slot_of in zip(grown, indices):
+                inside = set(members)
+                for i, v, p in zip(slot_of, members, part_of):
+                    part = [w for w, q in zip(members, part_of) if q == p]
                     out = nbrs[v] - inside
                     # the least t(v) takes the labels not placed in P as k and outside M as 1
                     ends = [len(nbrs[v]) - sum(labels.get(w, mine) for w in part)
@@ -361,7 +396,7 @@ def test_structure_slots_track_the_part_t_ranges_and_keep_eta_and_witness(monkey
     # to 6 vertices); the random graphs with 7 vertices are dense.  Two
     # mutants must fail: the own shift moving only the placed vertex's slot
     # (sound but weaker: its part-mates' slots stop tracking their t-ranges),
-    # and s(v) counting all of N(v), not N(v) \\ M
+    # and part_slots taking s(v) over all of N(v), not N(v) \\ M
     monkeypatch.setattr(solver, "HALL_MIN_SIZE", 2)
     rng = random.Random(25)
     graphs = list(connected_graphs(6)) + [random_graph(rng, 7, rng.uniform(0.5, 0.9)) for _ in range(12)]
@@ -373,19 +408,24 @@ def test_structure_slots_track_the_part_t_ranges_and_keep_eta_and_witness(monkey
         return known[g]
 
     assert _structure_tables_hold(graphs, oracle, random.Random(26))
-    part_slots = solver._part_slots
+    prepare, part_slots = solver._prepare, _search.part_slots
 
-    def own_slot_only(adj, parts):
-        ranges, own = part_slots(adj, parts)
-        return ranges, [(i,) for i in range(len(own))]
+    def own_slot_only(g, tested):
+        steps, slots, regular = prepare(g, tested)
+        vertex_of = [v for members, _, _ in tested for v in members]  # slot -> its vertex
+        steps = tuple([(v, nbrs, checks, hall and ([i for i in hall[0] if vertex_of[i] == v], *hall[1:]), memo)
+                       for v, nbrs, checks, hall, memo in steps])
+        return steps, slots, regular
 
-    def all_neighbors_outside(adj, parts):
-        ranges, own = part_slots(adj, parts)
-        return [(2 * deg, deg, deg, size) for _, deg, _, size in ranges], own
+    def all_neighbors_outside(adj, members, part_of):
+        ranges = part_slots(adj, members, part_of)
+        return ranges if part_of is None else [(2 * deg, deg, deg, size) for _, deg, _, size in ranges]
 
-    for mutant in (own_slot_only, all_neighbors_outside):
-        monkeypatch.setattr(solver, "_part_slots", mutant)
-        assert not _structure_tables_hold(graphs, oracle, random.Random(26)), mutant.__name__
+    mutants = ((solver, "_prepare", own_slot_only), (_search, "part_slots", all_neighbors_outside))
+    for module, name, mutant in mutants:
+        with monkeypatch.context() as patched:
+            patched.setattr(module, name, mutant)
+            assert not _structure_tables_hold(graphs, oracle, random.Random(26)), name
 
 
 def test_eta_and_witness_match_the_breadth_first_oracle():
