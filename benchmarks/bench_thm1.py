@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Theorem 1 by branch and bound, against its definition by listing.
+"""Theorem 1 by branch and bound, against its definition by listing, and the part bound.
 
 Run from the root of a source checkout::
 
     PYTHONPATH=src python3 benchmarks/bench_thm1.py
 
-and it writes ``benchmarks/BENCH_7.json``.  The graphs are the six of the
+and it writes ``benchmarks/BENCH_28.json`` (``BENCH_7.json`` is the record
+from before the part bound was recorded).  The graphs are the six of the
 benchmark's families-large workload plus ``cocktail(2,14,1)``.  For each it
 records the clique number, the nodes of the two searches of
 :mod:`dlucky.bounds` (exact counts, the same on every machine), the
@@ -15,7 +16,11 @@ and of the definition by listing (every maximum clique from
 lexicographic order), each the median of ``REPEATS`` calls, and it checks
 that both give the same bound and witness.  The listing
 is skipped on ``cocktail(5,100,5)``: no listing of its 5^100 maximum cliques
-ends.
+ends.  It also records the part bound of
+:func:`dlucky.parts.lower_bound_hall_witness`, the number of parts and the
+interval of its certificate, and its reference seconds, and it raises when
+the certificate fails :func:`dlucky.parts.check_hall_bound` or a cocktail
+graph's part bound is not the family's claimed optimum.
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ from pathlib import Path
 
 import dlucky
 from dlucky.bounds import _best_clique, _f, _greedy_clique, _masks, _omega
+from dlucky.parts import check_hall_bound, lower_bound_hall_witness
 from record import UNIT, timed, write
 
-OUT = Path(__file__).resolve().parent / "BENCH_7.json"
+OUT = Path(__file__).resolve().parent / "BENCH_28.json"
 REPEATS = 3
 GRAPHS = [
     ("web", (5, 200)), ("web", (20, 100)), ("corona", (500, 3)), ("cocktail", (5, 100, 5)),
@@ -45,7 +51,8 @@ def by_listing(g):
 
 
 def measure(family: str, params: tuple) -> dict:
-    g = getattr(dlucky, f"build_{family}")(*params).graph
+    fam = getattr(dlucky, f"build_{family}")(*params)
+    g = fam.graph
     masks, greedy = _masks(g), _greedy_clique(g)
     omega, omega_nodes = _omega(masks, len(greedy))
     _, witness, witness_nodes = _best_clique(masks, omega, greedy)
@@ -66,6 +73,13 @@ def measure(family: str, params: tuple) -> dict:
         "maximum_cliques": None,
         "listing_s": None,
     }
+    (part_bound, cert), part_s = timed(REPEATS, lower_bound_hall_witness, g)
+    if not check_hall_bound(g, part_bound, cert):
+        raise AssertionError(f"{family}{params}: the part bound's certificate fails check_hall_bound")
+    if family == "cocktail" and part_bound != fam.claimed_eta:
+        raise AssertionError(f"{family}{params}: part bound {part_bound} != claimed eta {fam.claimed_eta}")
+    row.update(part_bound=part_bound, parts=len(cert.parts),
+               interval=list(cert.interval) if cert.interval else None, part_s=round(part_s, 6))
     if (family, params) not in UNLISTED:
         (listed_bound, listed, count), listing_s = timed(REPEATS, by_listing, g)
         if (listed_bound, listed) != (bound, record):
@@ -82,7 +96,8 @@ def main() -> int:
         rows.append(row)
     result = {
         "what": "Theorem 1's bound and witness by the two branch-and-bound searches of "
-                "dlucky.bounds, against the definition by listing every maximum clique",
+                "dlucky.bounds, against the definition by listing every maximum clique; "
+                "the part bound of dlucky.parts with its certificate's parts and interval",
         "command": "PYTHONPATH=src python3 benchmarks/bench_thm1.py",
         "seconds": f"{UNIT}; each the median of {REPEATS} calls",
         "graphs": rows,

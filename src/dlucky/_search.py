@@ -1,15 +1,16 @@
 """Backtracking kernel for the labeling search, and the t-range model it shares.
 
-:func:`part_hulls` and :func:`hall_fails` are the counting argument of
+:func:`slot_ranges` and :func:`choice_fails` are the counting argument of
 Theorem 1 and of the cocktail-party optimum, where a clique is the structure
 whose parts each hold one vertex.  :func:`part_slots` gives every structure
 one t-slot per vertex, and :func:`choice_fails` is its Hall test, the one
-routine behind the solver's root check and the kernel's tests;
-:mod:`dlucky.parts` takes its part hulls from :func:`part_hulls` too.
+routine behind the solver's root check, the kernel's tests and the part
+bound of :mod:`dlucky.parts`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter, sub
 
 
@@ -49,8 +50,9 @@ def hall_fails(los, his) -> tuple[int, int] | None:
     return None
 
 
-def choice_fails(los, his, part_of) -> bool:
-    """True when some choice of one range per part fails :func:`hall_fails`.
+def choice_fails(los, his, part_of) -> tuple[int, int] | None:
+    """An interval ``[a, b]`` where some choice of one range per part fails
+    :func:`hall_fails`, or None when every choice passes.
 
     Range i is ``[los[i], his[i]]`` and belongs to part ``part_of[i]``; a
     ``part_of`` of None makes every range a part of its own, a clique's,
@@ -61,14 +63,15 @@ def choice_fails(los, his, part_of) -> bool:
     has one.  So the test sweeps ``a`` down over the distinct low ends,
     keeps for each part the least high end among its ranges that start at
     or above ``a``, and fails when the m-th smallest of those (m from 0) is
-    below ``a + m``: then ``m + 1`` parts have a range inside
-    ``[a, a + m - 1]``.  An interval that some choice over-fills can be
-    shrunk to start at the least low end inside it, so the sweep misses
-    none.  An empty range (low end above high end) fails at its own low
-    end, as in :func:`hall_fails`.
+    below ``top = a + m``: then ``m + 1`` parts have a range inside
+    ``[a, top - 1]``, the interval returned.  An interval that some choice
+    over-fills can be shrunk to start at the least low end inside it, so the
+    sweep misses none.  An empty range (low end above high end) fails at its
+    own low end, with ``a > b``, as in :func:`hall_fails`; when every range
+    is nonempty, ``a <= b``.
     """
     if part_of is None:
-        return hall_fails(los, his) is not None
+        return hall_fails(los, his)
     least: dict = {}  # part -> the least high end of its ranges from a up
     ranges = sorted(zip(los, his, part_of), reverse=True)
     last = len(ranges) - 1
@@ -79,12 +82,12 @@ def choice_fails(los, his, part_of) -> bool:
             continue
         for top, h in enumerate(sorted(least.values()), a):  # top = a + m
             if h < top:
-                return True
-    return False
+                return a, top - 1
+    return None
 
 
-def part_hulls(parts, k) -> tuple[list[int], list[int]]:
-    """The low and high ends of each part's t-range under labels 1..k.
+def slot_ranges(slots, k) -> tuple[list[int], list[int]]:
+    """The low and high ends of each slot's t-range under labels 1..k.
 
     Let parts P_1..P_t be independent sets, each completely joined to every
     other part, and let M be their union.  For v in P_i the d-lucky sum splits
@@ -93,27 +96,22 @@ def part_hulls(parts, k) -> tuple[list[int], list[int]]:
     first term is the same for every vertex of M, and vertices in different
     parts are adjacent, so each part needs a t-value that no other part uses.
     With labels in 1..k and ``s(v) = |N(v) \\ M|``, ``t(v)`` lies in
-    ``[deg(v) - k*|P_i| + s(v), deg(v) - |P_i| + k*s(v)]``; when the hulls of
-    these ranges over each part fail :func:`hall_fails`, no labeling into
-    1..k exists.  The hulls only widen as k grows.
-
-    A part P is ``(lo, deg, s, |P|)``: ``lo`` is the least ``deg(v) + s(v)``
-    over P, and ``deg``, ``s`` are those of its vertex of largest s(v).
-    Inside M a vertex of P is adjacent to exactly M \\ P, so ``deg(v) - s(v)``
-    is the same on all of P, and the hull is ``[lo - k*|P|, deg + k*s - |P|]``.
-    A part of one vertex is that vertex's own range: see :func:`part_slots`.
+    ``[deg(v) + s(v) - k*|P_i|, deg(v) + k*s(v) - |P_i|]``; when the ranges
+    of some choice of one vertex per part fail :func:`hall_fails` (see
+    :func:`choice_fails`), no labeling into 1..k exists.  The ranges only
+    widen as k grows.  A slot is ``(deg(v), s(v), |P_i|)``: see
+    :func:`part_slots`.
     """
-    return [lo - k * p for lo, _, _, p in parts], [deg + k * s - p for _, deg, s, p in parts]
+    return [deg + s - k * p for deg, s, p in slots], [deg + k * s - p for deg, s, p in slots]
 
 
-def part_slots(adj, members, part_of) -> list[tuple[int, int, int, int]]:
-    """One t-slot per vertex of a structure, in the form of :func:`part_hulls`.
+def part_slots(adj, members, part_of) -> list[tuple[int, int, int]]:
+    """One t-slot per vertex of a structure, in the form of :func:`slot_ranges`.
 
     ``members`` lists the structure's vertices part by part, and vertex
     ``members[i]`` lies in part ``part_of[i]``; a ``part_of`` of None is a
     clique, every part one vertex.  Slot i belongs to v = ``members[i]``, in
-    part P of the structure's vertex set M: it is ``(deg(v) + s(v), deg(v),
-    s(v), |P|)``, so its :func:`part_hulls` range is v's own t-range.
+    part P of the structure's vertex set M: it is ``(deg(v), s(v), |P|)``.
     Inside M, v is adjacent to exactly M \\ P, so ``s(v) = deg(v) - |M| +
     |P|``; on a clique ``s(v) = deg(v) - |M| + 1``, Theorem 1's pigeonhole.
     The clique, by far the most frequent structure, takes a path of its own
@@ -121,10 +119,10 @@ def part_slots(adj, members, part_of) -> list[tuple[int, int, int, int]]:
     """
     if part_of is None:
         inside = len(members) - 1  # deg(v) - s(v) on the clique
-        return [(2 * d - inside, d, d - inside, 1) for v in members for d in [len(adj[v])]]
-    sizes = [part_of.count(p) for p in part_of]
-    return [(2 * d - outside, d, d - outside, size) for v, size in zip(members, sizes)
-            for d, outside in [(len(adj[v]), len(members) - size)]]  # outside = deg(v) - s(v)
+        return [(d, d - inside, 1) for v in members for d in [len(adj[v])]]
+    sizes = Counter(part_of)
+    return [(d, d - len(members) + sizes[p], sizes[p]) for v, p in zip(members, part_of)
+            for d in [len(adj[v])]]
 
 
 def _shift(lo, hi, own, outside, a, b):
@@ -189,7 +187,7 @@ def search(k, steps, slots, top):
     v in its part P (a clique's parts are its vertices), from
     :func:`part_slots`; slot i keeps the range ``[lo[i], hi[i]]`` of
     ``t(v) = deg(v) - l(P) + sum of l(w) over w in N(v) \\ M`` under the
-    labels placed so far, from :func:`part_hulls` with none placed.  Placing
+    labels placed so far, from :func:`slot_ranges` with none placed.  Placing
     v moves the slots in ``own`` (those of the vertices of v's part, v's own
     on a clique) and ``outside`` (v is outside their M, next to their
     vertex).  After a placement passes its edge checks, each structure in
@@ -240,7 +238,7 @@ def search(k, steps, slots, top):
         sums[step[0]] = len(step[1])
     lo = hi = None  # the slots' t-ranges, where there are slots
     if slots:
-        lo, hi = part_hulls(slots, k)
+        lo, hi = slot_ranges(slots, k)
     refuted = complements = None  # see memo_tables, where some depth is memoized
     if any(map(_memo, steps)):
         refuted, complements = memo_tables(steps, k)

@@ -2,11 +2,13 @@
 
 The paper gets the optimum of the cocktail-party graphs by counting over the
 parts of their multipartite base: each part needs a t-value that no other
-part uses, so when the part ranges fail Hall's condition no labeling into
-1..k exists (:func:`_search.part_hulls` gives the argument; a clique is the
-structure whose parts each hold one vertex).  The ranges only widen as k
-grows, so the part bound is the least k whose ranges pass, and every
-smaller k fails.
+part uses, so when some choice of one vertex per part has t-ranges that fail
+Hall's condition no labeling into 1..k exists (:func:`_search.slot_ranges`
+gives the argument; a clique is the structure whose parts each hold one
+vertex).  :func:`structure` puts the parts in the solver's form, one t-slot
+per vertex, and the bound tests them with the solver's test,
+:func:`_search.choice_fails`.  The ranges only widen as k grows, so the part
+bound is the least k at which every choice passes, and every smaller k fails.
 
 :func:`grow_parts` grows a structure from a maximal clique.  The solver grows
 one from each large maximal clique (see :func:`solver._grow`);
@@ -17,9 +19,10 @@ base parts, whose equal ranges pass exactly when ``t <= (k-1)*(n+r) + 1``:
 the claimed optimum ``ceil((t+n+r-1)/(n+r))``.
 
 :func:`lower_bound_hall_witness` returns the bound with a certificate read
-off the :func:`hall_fails` call that refuted ``bound - 1``: the parts, its
-interval ``[a, b]`` and ``b - a + 2`` parts whose ranges lie inside it.
-:func:`check_hall_bound` re-verifies a certificate from the graph alone.
+off the :func:`_search.choice_fails` call that refuted ``bound - 1``: the
+parts, its interval ``[a, b]`` and ``b - a + 2`` parts that each have a
+vertex whose range lies inside it.  :func:`check_hall_bound` re-verifies a
+certificate from the graph alone.
 
 Like every module of the package, this one is imported only where it is
 used (see :mod:`dlucky`): Python compiles a module on every fresh import
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from ._search import hall_fails, part_hulls, part_slots
+from . import _search
 from .bounds import _greedy_clique
 from .graph import Graph
 
@@ -41,8 +44,9 @@ class HallCertificate(NamedTuple):
 
     ``parts`` are the parts of a complete multipartite subgraph.  When the
     bound is above 1, ``interval`` = ``[a, b]``, with ``a <= b``, is named by
-    :func:`hall_fails` on the part ranges at ``k = bound - 1``, and the first
-    ``b - a + 2`` parts whose ranges lie inside it are ``overfull``.
+    :func:`_search.choice_fails` on the vertex ranges at ``k = bound - 1``,
+    and the first ``b - a + 2`` parts with a vertex whose range lies inside
+    it are ``overfull``.
     Otherwise ``interval`` is None and ``overfull`` is empty.
     """
 
@@ -89,33 +93,31 @@ def grow_parts(g: Graph, clique: Sequence[int]) -> list[list[int]]:
     return parts
 
 
-def part_ranges(g: Graph, parts: list[list[int]]) -> list[tuple[int, int, int, int]]:
-    """The parts grown by :func:`grow_parts` in the form of :func:`_search.part_hulls`.
+def structure(g: Graph, parts: list[list[int]]) -> tuple[list[int], list, tuple[int, ...] | None]:
+    """The parts of a complete multipartite subgraph in the solver's form ``(members, slots, part_of)``.
 
-    A vertex v of part P is adjacent to exactly M \\ P inside M, so
-    ``s(v) = deg(v) - |M| + |P|``; the least and the largest degree of P
-    give the ends of its hull.
+    ``members`` lists the vertices part by part, ``slots`` holds their
+    t-slots from :func:`_search.part_slots`, and ``part_of`` the part of
+    each, or None when every part holds one vertex, so that a clique takes
+    the :func:`_search.hall_fails` path of :func:`_search.choice_fails`.
     """
-    adj = g._adj
-    size = sum(map(len, parts))
-    ranges = []
-    for part in parts:
-        degs = [len(adj[v]) for v in part]
-        low, high = min(degs), max(degs)
-        outside = size - len(part)  # deg(v) - s(v) on this part
-        ranges.append((2 * low - outside, high, high - outside, len(part)))
-    return ranges
+    members = [v for part in parts for v in part]
+    part_of = None
+    if len(members) > len(parts):
+        part_of = tuple([p for p, part in enumerate(parts) for _ in part])
+    return members, _search.part_slots(g._adj, members, part_of), part_of
 
 
-def _least_passing(ranges: list[tuple[int, int, int, int]]) -> tuple[int, tuple[int, int] | None]:
-    """The least k at which the part ranges pass Hall's condition, with the
-    interval :func:`hall_fails` names at ``k - 1`` (None when k is 1)."""
-    # every range has at least k values, so k = len(ranges) passes; the last
-    # failing probe is the one that raised low to its final value, at k - 1
-    low, high, interval = 1, len(ranges), None
+def _least_passing(slots, part_of, t: int) -> tuple[int, tuple[int, int] | None]:
+    """The least k at which every choice of one slot per part passes Hall's
+    condition, with the interval :func:`_search.choice_fails` names at
+    ``k - 1`` (None when k is 1); the structure has ``t`` parts."""
+    # every range has at least k values, so k = t passes; the last failing
+    # probe is the one that raised low to its final value, at k - 1
+    low, high, interval = 1, t, None
     while low < high:
         mid = (low + high) // 2
-        if failed := hall_fails(*part_hulls(ranges, mid)):
+        if failed := _search.choice_fails(*_search.slot_ranges(slots, mid), part_of):
             low, interval = mid + 1, failed
         else:
             high = mid
@@ -126,28 +128,34 @@ def lower_bound_hall_witness(g: Graph) -> tuple[int, HallCertificate]:
     """The part bound on the d-lucky number (see the module docstring), with its certificate.
 
     The parts grow by :func:`grow_parts` from one greedily chosen maximal
-    clique.  Growing a part widens its range, so the seed clique alone, as
-    parts of one vertex, can give more (P_4 with edges (0,1), (0,3), (1,2):
-    2 against 1); the better of the two is taken, the grown parts on a tie.
-    Graphs need not be connected.
+    clique.  Growing lowers both ends of each seed vertex's range (its
+    ``s(v)`` falls and its part grows), which can undo an overlap, so the
+    structure's test is not proven stronger than the seed clique's alone,
+    as parts of one vertex (see the :mod:`dlucky.solver` docstring); the
+    better of the two is taken, the grown parts on a tie.  (On P_4 with
+    edges (0,1), (0,3), (1,2) both give 2: the grown parts {0, 2} and {1}
+    hold vertices 0 and 1, whose ranges under one label both lie in
+    ``[1, 1]``.)  Graphs need not be connected.
     """
     if g.n < 1:
         raise ValueError("lower bound requires a nonempty graph")
     seed = _greedy_clique(g)
-    parts = grow_parts(g, seed)
-    ranges = part_ranges(g, parts)
-    low, interval = _least_passing(ranges)
-    alone_ranges = part_slots(g._adj, seed, None)
-    alone_low, alone_interval = _least_passing(alone_ranges)
-    if alone_low > low:
-        parts, ranges = [[v] for v in seed], alone_ranges
-        low, interval = alone_low, alone_interval
+    best = None
+    for parts in (grow_parts(g, seed), [[v] for v in seed]):
+        _, slots, part_of = structure(g, parts)
+        low, interval = _least_passing(slots, part_of, len(parts))
+        if best is None or low > best[0]:
+            best = low, interval, parts, slots, part_of
+        if part_of is None:  # no part grew, so the seed clique alone is this structure
+            break
+    low, interval, parts, slots, part_of = best
     frozen = tuple(tuple(p) for p in parts)
     if interval is None:
         return 1, HallCertificate(frozen, None, ())
     a, b = interval
-    los, his = part_hulls(ranges, low - 1)
-    inside = [i for i, (lo, hi) in enumerate(zip(los, his)) if a <= lo and hi <= b]
+    los, his = _search.slot_ranges(slots, low - 1)
+    owner = part_of or range(len(slots))  # the part of each slot
+    inside = sorted({p for p, lo, hi in zip(owner, los, his) if a <= lo and hi <= b})
     return low, HallCertificate(frozen, interval, tuple(inside[: b - a + 2]))
 
 
@@ -161,14 +169,16 @@ def check_hall_bound(g: Graph, bound: int, cert: HallCertificate) -> bool:
 
     Recomputed from the graph: the parts are disjoint nonempty independent
     sets, completely joined to each other; ``a <= b``; and at
-    ``k = bound - 1`` the range ``[deg(v) - k*|P| + s(v), deg(v) - |P| + k*s(v)]``
-    of every vertex v of every part P listed in ``overfull`` lies inside
+    ``k = bound - 1`` each part P listed in ``overfull`` has a vertex v whose
+    range ``[deg(v) + s(v) - k*|P|, deg(v) + k*s(v) - |P|]`` lies inside
     ``[a, b]``, with ``b - a + 2`` such parts, one more than the values of
-    ``[a, b]``.  A bound of 1 needs no interval.  The bound, the vertices,
-    the interval's ends and the indices must be exact ints (not bools), the
-    interval a pair, the parts and indices iterable, and ``cert`` a triple
-    ``(parts, interval, overfull)``, a plain tuple or a
-    :class:`HallCertificate`; anything else is False.
+    ``[a, b]``: these vertices lie in distinct parts, so each needs a
+    t-value of its own, and every such value lies in ``[a, b]``.  A bound of
+    1 needs no interval.  The bound, the vertices, the interval's ends and
+    the indices must be exact ints (not bools), the interval a pair, the
+    parts and indices iterable, and ``cert`` a triple ``(parts, interval,
+    overfull)``, a plain tuple or a :class:`HallCertificate`; anything else
+    is False.
     """
     if type(bound) is not int or bound < 1:
         return False
@@ -204,9 +214,7 @@ def check_hall_bound(g: Graph, bound: int, cert: HallCertificate) -> bool:
     k = bound - 1
     for i in chosen:
         size = len(parts[i])
-        for v in parts[i]:
-            deg = len(nbrs[v])
-            s = len(nbrs[v] - union)
-            if deg - k * size + s < a or deg - size + k * s > b:
-                return False
+        ends = [(len(nbrs[v]), len(nbrs[v] - union)) for v in parts[i]]  # (deg(v), s(v))
+        if not any(a <= deg + s - k * size and deg + k * s - size <= b for deg, s in ends):
+            return False
     return True

@@ -215,6 +215,23 @@ def oracle_hall_fails(los, his) -> bool:
     )
 
 
+def hull_ranges(g: Graph, parts, k: int) -> tuple[list[int], list[int]]:
+    """Each part's hull under labels 1..k, read off the graph: from the least
+    low end to the largest high end of the t-ranges
+    ``[deg(v) + s(v) - k*|P|, deg(v) + k*s(v) - |P|]`` of its vertices, with
+    ``s(v) = |N(v) \\ M|`` for M the union of the parts.  A test on the
+    hulls is weaker than one on every choice of one vertex per part, which
+    the package makes; the tests compare the two."""
+    inside = {v for part in parts for v in part}
+    los, his = [], []
+    for part in parts:
+        ends = [(g.degree(v) + s - k * len(part), g.degree(v) + k * s - len(part))
+                for v in part for s in [len(set(g.neighbors(v)) - inside)]]
+        los.append(min(lo for lo, _ in ends))
+        his.append(max(hi for _, hi in ends))
+    return los, his
+
+
 @functools.lru_cache(maxsize=None)
 def connected_graphs(max_n: int) -> tuple[Graph, ...]:
     """Every connected labeled graph on 1..max_n vertices, built once per ``max_n``."""
@@ -258,7 +275,7 @@ def reference_search(k, steps, slots, top, refuted=None):
     part_of)`` fails when some choice of one of its slots per part, each of
     them tried, fails the Hall test; a ``part_of`` of None makes every slot
     a part of its own."""
-    from dlucky._search import hall_fails, part_hulls
+    from dlucky._search import hall_fails, slot_ranges
 
     def some_choice_fails(los, his, part_of):
         parts = collections.defaultdict(list)
@@ -279,7 +296,7 @@ def reference_search(k, steps, slots, top, refuted=None):
     sums = [0] * n
     for v, nbrs, *_ in steps:
         sums[v] = len(nbrs)
-    lo, hi = part_hulls(slots, k)
+    lo, hi = slot_ranges(slots, k)
     labels = [0] * n
     if refuted is None:
         refuted = collections.defaultdict(set)

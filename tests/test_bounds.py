@@ -21,18 +21,21 @@ from dlucky import (
     max_label,
     verify,
 )
-from dlucky._search import choice_fails, hall_fails, part_hulls, part_slots
+from dlucky._search import choice_fails, hall_fails, part_slots, slot_ranges
 from dlucky.bounds import _best_clique, _greedy_clique, _masks, _omega
 from dlucky.parts import (
     HallCertificate,
     check_hall_bound,
+    grow_parts,
     lower_bound_hall,
     lower_bound_hall_witness,
-    part_ranges,
+    structure,
 )
 from conftest import (
     connected_graphs,
     corpus6_facts,
+    hull_ranges,
+    oracle_exists_labeling,
     oracle_hall_fails,
     oracle_maximal_cliques,
     oracle_maximum_cliques,
@@ -268,16 +271,25 @@ def test_thm1_matches_cor2_when_clique_degrees_equal():
 
 
 def test_part_bound_is_never_below_its_seed_clique():
-    # the seed clique alone refutes k = 1 on this P_4; the parts grown from
-    # it, {0, 2} and {1}, do not
+    # on this P_4 the seed clique alone and the parts grown from it, {0, 2}
+    # and {1}, both refute k = 1; the hulls of the grown parts do not, as
+    # vertex 2's range widens its part's hull
     p4 = Graph(4, [(0, 1), (0, 3), (1, 2)])
     bound, cert = lower_bound_hall_witness(p4)
     assert bound == 2 and check_hall_bound(p4, bound, cert)
+    assert cert == (((0, 2), (1,)), (1, 1), (0, 1))
+    assert not hall_fails(*hull_ranges(p4, cert.parts, 1))
+    raised = 0
     for g, _, (bound, cert), _ in corpus6_facts():
-        alone = part_ranges(g, [[v] for v in _greedy_clique(g)])
-        seed_bound = next(k for k in itertools.count(1) if not hall_fails(*part_hulls(alone, k)))
-        assert bound >= seed_bound
+        seed = _greedy_clique(g)
+        alone = [[v] for v in seed]
+        seed_bound = next(k for k in itertools.count(1) if not hall_fails(*hull_ranges(g, alone, k)))
+        grown = grow_parts(g, seed)
+        hull_bound = next(k for k in itertools.count(1) if not hall_fails(*hull_ranges(g, grown, k)))
+        assert bound >= max(seed_bound, hull_bound)
+        raised += bound > max(seed_bound, hull_bound)
         assert check_hall_bound(g, bound, cert)
+    assert raised > 0
 
 
 
@@ -313,7 +325,14 @@ def test_choice_fails_matches_every_choice_of_one_range_per_part():
         expected = any(oracle_hall_fails([lo for lo, _ in choice], [hi for _, hi in choice])
                        for choice in itertools.product(*parts))
         answers.add(expected)
-        assert got == expected, parts
+        assert (got is not None) == expected, parts
+        if got is not None:
+            # the named interval holds a range of one more part than its values
+            a, b = got
+            inside = sum(any(a <= lo and hi <= b for lo, hi in part) for part in parts)
+            assert inside >= b - a + 2, (parts, got)
+            if all(lo <= hi for lo, hi, _ in flat):
+                assert a <= b, (parts, got)
     assert answers == {False, True}
 
 
@@ -333,12 +352,33 @@ def test_hall_fails_is_near_linear_when_ranges_share_a_low_end():
 
 
 def test_part_slots_on_a_clique_match_the_parts_of_one_vertex():
-    # part_slots' clique fast path gives what its general path and the part
-    # hull builder give on one-vertex parts
+    # part_slots' clique fast path gives what its general path gives, and
+    # its ranges are the hulls of one-vertex parts, read off the graph
     for g in connected_graphs(6):
         for q in enumerate_maximal_cliques(g):
             slots = part_slots(g._adj, q, None)
-            assert slots == part_slots(g._adj, q, tuple(range(len(q)))) == part_ranges(g, [[v] for v in q])
+            assert slots == part_slots(g._adj, q, tuple(range(len(q))))
+            assert slot_ranges(slots, 3) == hull_ranges(g, [[v] for v in q], 3)
+
+
+def test_structure_slots_match_the_definition_on_the_family_grid():
+    # one slot (deg(v), |N(v) \ M|, |P|) per vertex v, part by part, on the
+    # parts grown from each family graph's greedy clique; part_of is None
+    # exactly when every part holds one vertex
+    grown = 0
+    for fam in family_grid():
+        g = fam.graph
+        parts = grow_parts(g, _greedy_clique(g))
+        members, slots, part_of = structure(g, parts)
+        inside = set(members)
+        assert members == [v for part in parts for v in part]
+        assert slots == [(g.degree(v), len(set(g.neighbors(v)) - inside), len(part))
+                         for part in parts for v in part]
+        assert (part_of is None) == (len(parts) == len(members))
+        if part_of is not None:
+            grown += 1
+            assert part_of == tuple(p for p, part in enumerate(parts) for _ in part)
+    assert grown > 100
 
 
 COCKTAILS = [(2, 6, 1), (3, 10, 1), (2, 14, 1), (4, 12, 1), (2, 30, 3), (5, 100, 5)]
@@ -380,10 +420,9 @@ def test_checker_accepts_every_certificate():
     assert sum(bound > 1 for _, bound, _ in _certified(randoms + cocktails)) > 0
 
 
-def test_family_grid_is_certified():
-    # each family's labeling passes verify, its part bound passes the
-    # checker, and the better bound meets the labeling's max label
-    grid = (
+def family_grid() -> list:
+    """The 282 family instances of the acceptance grid."""
+    return (
         [build_corona(n, r) for n in range(2, 16) for r in range(1, 6)]
         + [build_web(m, n) for m in range(3, 7) for n in range(5, 25)]
         + [
@@ -391,6 +430,12 @@ def test_family_grid_is_certified():
             for n in range(1, 5) for t in range(2, 13) for r in range(1, 4)
         ]
     )
+
+
+def test_family_grid_is_certified():
+    # each family's labeling passes verify, its part bound passes the
+    # checker, and the better bound meets the labeling's max label
+    grid = family_grid()
     assert len(grid) == 282
     for fam in grid:
         g = fam.graph
@@ -414,6 +459,15 @@ def test_checker_rejects_tampered_certificates():
     assert not check_hall_bound(g, bound, cert._replace(parts=tuple(loose)))
     one_less = cert.overfull[:-1]  # the ranges then fit their interval
     assert not check_hall_bound(g, bound, cert._replace(overfull=one_less))
+    # the right count of parts, but their ranges stick out of the interval
+    a, b = cert.interval
+    for shift in (-1, 1):
+        assert not check_hall_bound(g, bound, cert._replace(interval=(a + shift, b + shift)))
+    # one vertex per listed part inside the interval suffices: on this P_4
+    # vertex 2 of part (0, 2) has its range at [-1, -1], outside [1, 1]
+    p4 = Graph(4, [(0, 1), (0, 3), (1, 2)])
+    assert oracle_exists_labeling(p4, 1) is None
+    assert check_hall_bound(p4, 2, HallCertificate(((0, 2), (1,)), (1, 1), (0, 1)))
     # still over-filled, but a certificate lists exactly b - a + 2 parts
     one_more = tuple(range(len(cert.overfull) + 1))
     assert len(one_more) <= len(parts)

@@ -23,11 +23,11 @@ from dlucky import (
     verify,
 )
 from dlucky import _search, solver
-from dlucky.parts import part_ranges
 from dlucky.solver import _clique_refutes, _setup, _top
 from conftest import (
     connected_graphs,
     generalized_petersen,
+    hull_ranges,
     k_minus,
     oracle_eta,
     oracle_exists_labeling,
@@ -272,11 +272,11 @@ def _grown(structures) -> list:
 
 
 def _hulls_refute(g, members, part_of, k) -> bool:
-    """Whether the hulls of the structure's parts (:func:`parts.part_ranges`)
+    """Whether the hulls of the structure's parts (:func:`conftest.hull_ranges`)
     fail Hall's condition at k, a weaker check than the one on its vertices'
     own ranges."""
     parts = [[v for v, q in zip(members, part_of) if q == p] for p in sorted(set(part_of))]
-    return _search.hall_fails(*_search.part_hulls(part_ranges(g, parts), k)) is not None
+    return _search.hall_fails(*hull_ranges(g, parts, k)) is not None
 
 
 def test_part_refutation_agrees_with_oracle(monkeypatch):
@@ -366,7 +366,7 @@ def _structure_tables_hold(graphs, oracle, rng) -> bool:
             k = rng.randint(2, 4)
             prefix = steps[: rng.randint(0, g.n)]
             labels = {step[0]: rng.randint(1, k) for step in prefix}
-            lo, hi = _search.part_hulls(slots, k)
+            lo, hi = _search.slot_ranges(slots, k)
             for v, *_, hall, _ in prefix:
                 if hall is not None:
                     _search._shift(lo, hi, hall[0], hall[1], labels[v] - 1, k - labels[v])
@@ -419,7 +419,7 @@ def test_structure_slots_track_the_part_t_ranges_and_keep_eta_and_witness(monkey
 
     def all_neighbors_outside(adj, members, part_of):
         ranges = part_slots(adj, members, part_of)
-        return ranges if part_of is None else [(2 * deg, deg, deg, size) for _, deg, _, size in ranges]
+        return ranges if part_of is None else [(deg, deg, size) for deg, _, size in ranges]
 
     mutants = ((solver, "_prepare", own_slot_only), (_search, "part_slots", all_neighbors_outside))
     for module, name, mutant in mutants:
