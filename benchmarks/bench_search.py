@@ -5,8 +5,10 @@ Run from the root of a source checkout::
 
     PYTHONPATH=src python3 benchmarks/bench_search.py
 
-and it writes ``benchmarks/BENCH_26.json`` (``BENCH_25.json`` is the record
-from before the root check tested grown structures on one slot per vertex,
+and it writes ``benchmarks/BENCH_29.json`` (``BENCH_26.json`` is the record
+from before the memo kept one automorphism per solve in place of up to two,
+with the same nodes here and one mirrored depth more on ``corona(9,1)``,
+``BENCH_25.json`` from before the root check tested grown structures on one slot per vertex,
 with the same nodes here, ``BENCH_24.json`` from before each grown part
 structure was tested in the search once, on a slot per vertex, in place of
 the cliques inside it, ``BENCH_23.json`` from before the mirrored depths of
@@ -29,7 +31,9 @@ the number of those that also record a mirrored key, the number of those
 that also record complement images, the t-slots of its grown part
 structures and the cliques of at least ``HALL_MIN_SIZE`` vertices inside
 them, whose tests theirs replace, all read off ``_setup``'s structures and
-steps.
+steps, and whether :func:`dlucky.solver._automorphism` finds a σ on the
+solver's vertex order within its ``SYMMETRY_STEPS`` (the solver looks for
+one only when some depth carries a memo key).
 Node counts do not depend on the machine, so they are checked exactly: per
 graph they must sum to ``exact_eta``'s ``nodes_explored`` and to ``NODES``,
 and the first labeling found must verify.
@@ -42,9 +46,10 @@ from pathlib import Path
 
 import dlucky
 from dlucky import _search
-from dlucky.solver import HALL_MIN_SIZE, _clique_refutes, _setup, _top
+from dlucky.graph import bfs_order
+from dlucky.solver import HALL_MIN_SIZE, _automorphism, _clique_refutes, _setup, _top
 
-OUT = Path(__file__).resolve().parent / "BENCH_26.json"
+OUT = Path(__file__).resolve().parent / "BENCH_29.json"
 REPEATS = 5
 GRAPHS = {
     "K_8": lambda: dlucky.complete_graph(8),
@@ -89,7 +94,8 @@ def measure(name: str) -> tuple[list[dict], dict]:
               "structure_slots": sum(len(members) for members, _, part_of in structures
                                      if part_of is not None),
               "replaced_cliques": sum(len(members) >= HALL_MIN_SIZE for members, _, part_of in structures
-                                      if part_of is None) - sum(part_of is None for _, part_of in tests)}
+                                      if part_of is None) - sum(part_of is None for _, part_of in tests),
+              "automorphism": _automorphism(g, bfs_order(g)) is not None}
     rows = []
     for k in range(1, solved.eta + 1):
         row = {"graph": name, "vertices": g.n, "edges": g.edge_count, "k": k}
@@ -114,7 +120,7 @@ def main() -> int:
 
     rows = []
     per_graph = {"memoized": {}, "mirrored": {}, "complemented": {}, "structure_slots": {},
-                 "replaced_cliques": {}}
+                 "replaced_cliques": {}, "automorphism": {}}
     for name in GRAPHS:
         graph_rows, counts = measure(name)
         for kind, count in counts.items():
@@ -130,7 +136,8 @@ def main() -> int:
                 "P_2 x C_15, GP(9,2), GP(11,2), cocktail(2,7,1) and cocktail(3,6,1): root refutation "
                 "or kernel search, nodes (exact), whether a labeling was found, kernel seconds, and "
                 "the graph's memoized depths, mirrored depths, depths that record complement images, "
-                "t-slots of grown part structures and cliques whose Hall tests those structures replace",
+                "t-slots of grown part structures, cliques whose Hall tests those structures replace, "
+                "and whether the solver's automorphism search finds a σ",
         "command": "PYTHONPATH=src python3 benchmarks/bench_search.py",
         "seconds": f"{UNIT}; each the median of {REPEATS} calls of dlucky._search.search",
         "total": {"nodes": nodes, "kernel_s": round(kernel_s, 6),
@@ -140,6 +147,7 @@ def main() -> int:
         "complemented_depths": per_graph["complemented"],
         "structure_slots": per_graph["structure_slots"],
         "replaced_cliques": per_graph["replaced_cliques"],
+        "automorphism": per_graph["automorphism"],
         "budgets": rows,
     }
     write(OUT, result)

@@ -29,7 +29,8 @@ import json
 from pathlib import Path
 
 import dlucky
-from dlucky.bounds import _best_clique, _f, _greedy_clique, _masks, _omega
+from dlucky.bounds import _best_clique, _greedy_clique, _masks, _omega
+from dlucky.graph import _ceil_div
 from dlucky.parts import check_hall_bound, lower_bound_hall_witness
 from record import UNIT, timed, write
 
@@ -42,20 +43,25 @@ GRAPHS = [
 UNLISTED = {("cocktail", (5, 100, 5))}
 
 
+def thm1_value(record, omega: int) -> int:
+    """Theorem 1's f of one maximum clique, clamped at 1."""
+    return max(1, _ceil_div(2 * record.delta - record.max_deg + 1, record.max_deg - omega + 2))
+
+
 def by_listing(g):
     """Theorem 1 by its definition: the first best of all maximum cliques."""
     records = dlucky.enumerate_maximum_cliques(g)
     omega = len(records[0].vertices)
-    best = max(records, key=lambda record: _f(record.delta, record.max_deg, omega))
-    return _f(best.delta, best.max_deg, omega), best, len(records)
+    best = max(records, key=lambda record: thm1_value(record, omega))
+    return thm1_value(best, omega), best, len(records)
 
 
 def measure(family: str, params: tuple) -> dict:
     fam = getattr(dlucky, f"build_{family}")(*params)
     g = fam.graph
-    masks, greedy = _masks(g), _greedy_clique(g)
-    omega, omega_nodes = _omega(masks, len(greedy))
-    _, witness, witness_nodes = _best_clique(masks, omega, greedy)
+    masks = _masks(g)
+    omega, omega_nodes = _omega(masks, len(_greedy_clique(g)))
+    _, witness, witness_nodes = _best_clique(masks, omega)
     (bound, record), search_s = timed(REPEATS, dlucky.lower_bound_thm1_witness, g)
     if list(record.vertices) != witness:
         raise AssertionError(f"{family}{params}: the searches and lower_bound_thm1_witness disagree")

@@ -148,15 +148,22 @@ labeling, and ``nodes_explored`` can only fall.  This is symmetry breaking
 by dominance detection (Fahle, Schamberger and Sellmann, CP 2001; Focacci
 and Milano, CP 2001), on the states the memo already keeps.
 
-:func:`_symmetries` looks for such σ among the automorphisms that fix the
-first vertex of the order, within ``SYMMETRY_STEPS`` = 400 candidate images,
-and keeps at most ``SYMMETRIES_KEPT`` = 2 besides the identity;
-:func:`_memos` gives each memoized depth the first of them that maps the
-depth's placed vertices onto themselves and moves a live vertex (one that
-moves none would read the key itself).  Graphs with at most
-``MEMO_OFF_UP_TO`` vertices have no memo and look for no σ.  On the prisms
-P_2 x C_n the one σ is the reflection through vertex 0, which fixes the
-prefixes of half the memoized depths.  Memoized and mirrored depths, then
+:func:`_automorphism` looks for one σ per solve among the automorphisms
+that fix the first vertex of the order, within ``SYMMETRY_STEPS`` = 400
+candidate images: the first other than the identity, which fixes the
+longest start of the order pointwise.  :func:`_memos` mirrors each
+memoized depth whose placed vertices σ maps onto themselves, when σ moves
+a live vertex (one that moves none would read the key itself).  A second
+σ, for the depths the first one misses, mirrored 271 depths against 257
+on 597 graphs (the 12 of ``benchmarks/bench_search.py``; 360 random ones
+with 7-12 vertices and 200 random 3- and 4-regular ones with 8-14, seed
+29; C_n and P_2 x C_n for n = 7..15; seven GP(n, k)), and saved 104 of
+their 171,469 nodes, on 4 graphs; on 2,300 more such graphs (seed 30) it
+saved 100 of 242,969, on 2.  Eta and witness were the same everywhere, so
+the solve keeps one σ.  Graphs with at most ``MEMO_OFF_UP_TO`` vertices
+have no memo and look for no σ.  On the prisms P_2 x C_n the σ is the
+reflection through vertex 0, which fixes the prefixes of half the memoized
+depths.  Memoized and mirrored depths, then
 nodes and solve times of ``exact_eta(g, n + 2)``, ms, median of 15 runs,
 with mirrors off (no σ looked for) and on, interleaved in one process,
 before complement images were recorded (Python 3.11, shared 2-core
@@ -328,7 +335,6 @@ DEFAULT_VERTEX_CAP = 16
 HALL_MIN_SIZE = 4
 MEMO_OFF_UP_TO = 6
 SYMMETRY_STEPS = 400
-SYMMETRIES_KEPT = 2
 
 
 def solver_backend() -> str:
@@ -373,9 +379,9 @@ def _prepare(g: Graph, tested: list) -> tuple[tuple, tuple, bool]:
 
     Per BFS position: the vertex, its neighbors, its edge checks, its Hall
     tables and its memo entry (see :func:`_memos`: the key over the live
-    vertices of :func:`_live_sets`, a mirror where an automorphism
-    :func:`_symmetries` found serves the depth, and complement pairs at the
-    mirrored depths of a regular graph; graphs with at most
+    vertices, a mirror where the automorphism of :func:`_automorphism`
+    serves the depth, and complement pairs at the mirrored depths of a
+    regular graph; graphs with at most
     ``MEMO_OFF_UP_TO`` vertices have no memo).  Edge {u, v} is checked
     at the position of the last vertex of N(u) Δ N(v), where the difference
     of the two endpoint sums becomes final: the highest bit of the XOR of
@@ -420,51 +426,23 @@ def _prepare(g: Graph, tested: list) -> tuple[tuple, tuple, bool]:
         test = (itemgetter(*range(first, len(slots))), part_of)
         for w in moved:
             hall[w][2].append(test)
-    live = _live_sets(bits, ready) if g.n > MEMO_OFF_UP_TO else [None] * g.n
     regular = len(set(map(len, adj))) == 1
-    memos = [None] * g.n
-    if any(live):
-        memos = _memos(order, bits, live, _symmetries(g, order), regular)
+    memos = _memos(g, order, bits, ready, regular) if g.n > MEMO_OFF_UP_TO else [None] * g.n
     steps = tuple([(v, adj[v], ready[d], hall.get(v), memos[d]) for d, v in enumerate(order)])
     return steps, tuple(slots), regular
 
 
-def _live_sets(bits, ready) -> list:
-    """Per depth d, None or the vertices live at d, by index, if d is memoized.
+def _automorphism(g: Graph, order: list[int]) -> list[int] | None:
+    """The first automorphism of ``g`` other than the identity that fixes ``order[0]``, or None.
 
-    A vertex is live at d when it has an edge check at depth >= d and a
-    neighbor placed before d.  Depth d >= 1, the last one included, is
-    memoized when some vertex had its last edge check at d - 1 and some
-    vertex is live at d.  ``bits`` are :func:`_prepare`'s neighbor bitmasks
-    over positions.
-    """
-    n = len(ready)
-    # position of each vertex's first neighbor in the order, from its lowest
-    # bit; -1 for no neighbor, which leaves the vertex without checks
-    first = [(b & -b).bit_length() - 1 for b in bits]
-    final = [-1] * n  # depth of each vertex's last edge check
-    for d, checks in enumerate(ready):
-        for u, w in checks:
-            final[u] = final[w] = d
-    retiring = set(final)
-    live: list = [None] * n
-    for d in range(1, n):
-        if d - 1 in retiring:
-            live[d] = [x for x in range(n) if first[x] < d <= final[x]] or None
-    return live
-
-
-def _symmetries(g: Graph, order: list[int]) -> list[list[int]]:
-    """Up to ``SYMMETRIES_KEPT`` automorphisms of ``g`` that fix ``order[0]``, identity left out.
-
-    Each is the list of the vertices' images.  The search backtracks over
+    It is the list of the vertices' images.  The search backtracks over
     ``order``: a vertex's image is a neighbor of the image of its earliest
     neighbor in the order (its BFS parent) with the vertex's degree, not yet
     an image, and adjacent to the images of exactly the earlier vertices the
     vertex is adjacent to; the first vertex of a later component is its own
     image.  Each vertex tries itself first, so the identity comes first and
-    the next ones found fix the longest start of the order pointwise.  The
-    search gives up after ``SYMMETRY_STEPS`` candidate images.
+    the one returned fixes the longest start of the order pointwise.  The
+    search gives up, with None, after ``SYMMETRY_STEPS`` candidate images.
     """
     adj = g._adj
     n = g.n
@@ -475,7 +453,6 @@ def _symmetries(g: Graph, order: list[int]) -> list[list[int]]:
     identity = list(range(n))
     sigma = identity[:]
     used = 1 << order[0]  # the images of the vertices placed so far
-    found: list[list[int]] = []
     steps = 0
     tries: list = [None] * n  # per position, an iterator over its remaining candidate images
     i, entering = 1, True
@@ -486,7 +463,7 @@ def _symmetries(g: Graph, order: list[int]) -> list[list[int]]:
             pool = adj[sigma[min(earlier, key=pos.__getitem__)]] if earlier else (x,)
             steps += len(pool)
             if steps > SYMMETRY_STEPS:
-                break
+                return None
             want = sum(1 << sigma[w] for w in earlier)
             fits = [c for c in pool
                     if not used >> c & 1 and len(adj[c]) == len(adj[x]) and nbits[c] & used == want]
@@ -504,44 +481,59 @@ def _symmetries(g: Graph, order: list[int]) -> list[list[int]]:
             continue
         entering = False  # a full image list: try x's next candidate
         if sigma != identity:
-            found.append(sigma[:])
-            if len(found) == SYMMETRIES_KEPT:
-                break
-    return found
+            return sigma
+    return None
 
 
-def _memos(order: list[int], bits: list[int], live: list, symmetries: list[list[int]],
-           regular: bool) -> list:
+def _memos(g: Graph, order: list[int], bits: list[int], ready: list, regular: bool) -> list:
     """Per depth d, None or the memo entry ``(key, mirror, complement)`` of a memoized depth.
 
-    ``key`` is an ``itemgetter`` of the sums of the vertices live at d.
-    ``mirror`` is None or an ``itemgetter`` of the sums at σ(x) over those
-    x, for σ the first of ``symmetries`` that maps the vertices placed
-    before d onto themselves and moves a vertex live at d.  ``complement``
-    is None, or at a mirrored depth of a regular graph the pairs
+    A vertex is live at d when it has an edge check at depth >= d and a
+    neighbor placed before d.  Depth d >= 1, the last one included, is
+    memoized when some vertex had its last edge check at d - 1 and some
+    vertex is live at d.  ``key`` is an ``itemgetter`` of the sums of the
+    vertices live at d.  ``mirror`` is None or an ``itemgetter`` of the sums
+    at σ(x) over those x, for the σ of :func:`_automorphism` (looked for
+    only when some depth is memoized), at a depth where σ maps the vertices
+    placed before d onto themselves and moves a vertex live at d.
+    ``complement`` is None,
+    or at a mirrored depth of a regular graph the pairs
     ``(2 deg(x), p_d(x))`` over those x, with p_d(x) the neighbors of x
-    placed before d, read off :func:`_prepare`'s bitmasks ``bits``: the
-    search makes ``C_d(x) = 2 deg(x) + (k + 1) p_d(x)`` from them.  See the
-    module docstring for why a key read through σ, and its complement
-    ``C_d - key``, are refuted with the depth's own key.
+    placed before d, read off :func:`_prepare`'s neighbor bitmasks over
+    positions ``bits``: the search makes ``C_d(x) = 2 deg(x) + (k + 1) p_d(x)``
+    from them.  See the module docstring for why a key read through σ, and
+    its complement ``C_d - key``, are refuted with the depth's own key.
     """
-    memos: list = [None] * len(order)
-    placed = 0  # the vertices before d, as a bitmask
-    images = [0] * len(symmetries)  # their images under each σ
+    n = len(order)
+    # position of each vertex's first neighbor in the order, from its lowest
+    # bit; -1 for no neighbor, which leaves the vertex without checks
+    first = [(b & -b).bit_length() - 1 for b in bits]
+    final = [-1] * n  # depth of each vertex's last edge check
+    for d, checks in enumerate(ready):
+        for u, w in checks:
+            final[u] = final[w] = d
+    retiring = set(final)
+    live: list = [None] * n
+    for d in range(1, n):
+        if d - 1 in retiring:
+            live[d] = [x for x in range(n) if first[x] < d <= final[x]] or None
+    memos: list = [None] * n
+    if not any(live):
+        return memos
+    sigma = _automorphism(g, order) or list(range(n))  # the identity mirrors no depth
+    placed = image = 0  # the vertices before d, and their images under σ, as bitmasks
     for d, v in enumerate(order):
         if live[d] is not None:
             mirror = complement = None
-            for sigma, image in zip(symmetries, images):
-                if image == placed and any(sigma[x] != x for x in live[d]):
-                    mirror = itemgetter(*[sigma[x] for x in live[d]])
-                    break
-            if mirror is not None and regular:
-                before = (1 << d) - 1  # the positions placed before d
-                complement = tuple([(2 * bits[x].bit_count(), (bits[x] & before).bit_count())
-                                    for x in live[d]])
+            if image == placed and any(sigma[x] != x for x in live[d]):
+                mirror = itemgetter(*[sigma[x] for x in live[d]])
+                if regular:
+                    before = (1 << d) - 1  # the positions placed before d
+                    complement = tuple([(2 * bits[x].bit_count(), (bits[x] & before).bit_count())
+                                        for x in live[d]])
             memos[d] = (itemgetter(*live[d]), mirror, complement)
         placed |= 1 << v
-        images = [image | 1 << sigma[v] for sigma, image in zip(symmetries, images)]
+        image |= 1 << sigma[v]
     return memos
 
 

@@ -110,20 +110,20 @@ def test_search_node_counts_are_pinned():
                      + [(i + 5, (i + 2) % 5 + 5) for i in range(5)])
     dense = random_graph(random.Random(10), 16, 0.7)
     for g, pinned in [(k8_minus, (7, 1, 3, 22)), (petersen, (2, 11, 2, 2)), (dense, (8, 28, 2, 25))]:
-        masks, greedy = _masks(g), _greedy_clique(g)
-        omega, omega_nodes = _omega(masks, len(greedy))
-        bound, _, nodes = _best_clique(masks, omega, greedy)
+        masks = _masks(g)
+        omega, omega_nodes = _omega(masks, len(_greedy_clique(g)))
+        bound, _, nodes = _best_clique(masks, omega)
         assert (omega, omega_nodes, bound, nodes) == pinned
 
 
 def test_thm1_on_cocktails_without_listing_their_cliques():
     for n, t, r in [(2, 16, 1), (5, 100, 5)]:  # 65,536 and 5^100 maximum cliques
         g = build_cocktail(n, t, r).graph
-        masks, greedy = _masks(g), _greedy_clique(g)
+        masks = _masks(g)
         # the root's colour classes are the t parts, so the root is cut; the
         # first clique found is a best one, and every other is cut
-        assert _omega(masks, len(greedy)) == (t, 1)
-        assert _best_clique(masks, t, greedy)[2] == t
+        assert _omega(masks, len(_greedy_clique(g))) == (t, 1)
+        assert _best_clique(masks, t)[2] == t
         start = time.perf_counter()
         assert lower_bound_thm1(g) == 2
         assert time.perf_counter() - start < 1.0

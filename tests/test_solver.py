@@ -18,6 +18,7 @@ from dlucky import (
     cycle_graph,
     exact_eta,
     exists_labeling,
+    is_connected,
     path_graph,
     solver_backend,
     verify,
@@ -522,12 +523,57 @@ def _mirrors(g):
     return [memo and memo[1] for *_, memo in _setup(g)[1]]
 
 
+def test_the_automorphism_fixes_the_first_vertex_and_the_longest_start_of_the_order():
+    # brute force over every permutation that fixes order[0], on connected
+    # graphs with at most 8 vertices: the solver's σ is None exactly when no
+    # automorphism other than the identity fixes order[0]; otherwise it is
+    # one, and none fixes a longer start of the order pointwise.  On the
+    # breadth-first order, ties by index make each vertex its own first
+    # candidate anyway, so each graph is also tried on a random order in
+    # which every vertex after the first has an earlier neighbor
+    rng = random.Random(29)
+    randoms = [g for g in (random_graph(rng, rng.randint(3, 8), rng.uniform(0.2, 0.8)) for _ in range(150))
+               if is_connected(g)]
+    named = [cycle_graph(7), cycle_graph(8), _prism(4), complete_graph(8),
+             Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])]
+
+    def random_order(g):
+        order = [rng.randrange(g.n)]
+        while len(order) < g.n:
+            order.append(rng.choice([v for v in range(g.n) if v not in order
+                                     and any(g.has_edge(u, v) for u in order)]))
+        return order
+
+    found = 0
+    for g, order in [(g, make(g)) for g in randoms + named for make in (oracle_bfs_order, random_order)]:
+        edges = {frozenset(e) for e in g.edges}
+
+        def fixed_start(sigma):  # how many vertices at the start of the order sigma fixes
+            return next((i for i, v in enumerate(order) if sigma[v] != v), g.n)
+
+        rest = order[1:]
+        automorphisms = []
+        for images in itertools.permutations(rest):
+            sigma = list(range(g.n))
+            for v, image in zip(rest, images):
+                sigma[v] = image
+            if fixed_start(sigma) < g.n and {frozenset((sigma[u], sigma[v])) for u, v in edges} == edges:
+                automorphisms.append(sigma)
+        sigma = solver._automorphism(g, order)
+        assert (sigma is None) == (not automorphisms), g
+        if sigma is not None:
+            assert sigma in automorphisms, g
+            assert fixed_start(sigma) == max(map(fixed_start, automorphisms)), g
+            found += 1
+    assert len(randoms) >= 80 and found >= 80
+
+
 def test_mirrors_read_the_sums_through_an_automorphism_that_fixes_the_prefix():
     # derived from the graph alone: at every mirrored depth d, the mirror
     # picks sums[σ(x)] over the vertices x live at d, in index order, for a
     # σ other than the identity on them that maps the edge set and the
     # first d vertices of the breadth-first order onto themselves.  The
-    # solver's own symmetries are the candidate σ, each checked whole
+    # solver's own automorphism is the candidate σ, checked whole
     rng = random.Random(23)
     randoms = [random_graph(rng, rng.randint(7, 12), rng.uniform(0.15, 0.6)) for _ in range(80)]
     named = [_prism(n) for n in range(7, 14)] + [generalized_petersen(9, 2), generalized_petersen(11, 2)]
@@ -535,9 +581,9 @@ def test_mirrors_read_the_sums_through_an_automorphism_that_fixes_the_prefix():
     for g in randoms + named:
         order = oracle_bfs_order(g)
         edges = {frozenset(e) for e in g.edges}
-        automorphisms = [sigma for sigma in solver._symmetries(g, order)
-                         if sorted(sigma) == list(range(g.n))
-                         and {frozenset((sigma[u], sigma[v])) for u, v in edges} == edges]
+        sigma = solver._automorphism(g, order) or list(range(g.n))  # the identity mirrors nothing
+        assert sorted(sigma) == list(range(g.n)), g
+        assert {frozenset((sigma[u], sigma[v])) for u, v in edges} == edges, g
         mirrors = _mirrors(g)
         for d, mirror in enumerate(mirrors):
             if mirror is None:
@@ -546,9 +592,8 @@ def test_mirrors_read_the_sums_through_an_automorphism_that_fixes_the_prefix():
             picked = mirror(list(range(g.n)))
             picked = list(picked) if len(live) > 1 else [picked]
             assert picked != live, (g, d)
-            assert any([sigma[x] for x in live] == picked
-                       and {sigma[x] for x in order[:d]} == set(order[:d])
-                       for sigma in automorphisms), (g, d)
+            assert [sigma[x] for x in live] == picked, (g, d)
+            assert {sigma[x] for x in order[:d]} == set(order[:d]), (g, d)
         with_mirrors.append(any(mirrors))
     assert all(with_mirrors[len(randoms):]) and sum(with_mirrors[:len(randoms)]) >= 10
     assert sum(m is not None for m in _mirrors(_prism(11))) >= 4
@@ -684,8 +729,8 @@ def test_every_key_the_kernel_records_is_refuted_and_two_complement_mutants_reco
     def k_for_k_plus_1(steps, k):  # 2 deg(x) + k p_d(x)
         return tables(steps, k - 1)
 
-    def on_any_graph(order, bits, live, symmetries, regular):
-        return memos(order, bits, live, symmetries, True)
+    def on_any_graph(g, order, bits, ready, regular):
+        return memos(g, order, bits, ready, True)
 
     assert all(_completable(g, _kernel_records(g, tables=k_for_k_plus_1))[0] > 0 for g in regular[:3])
     assert any(_completable(g, _kernel_records(g, tables=k_for_k_plus_1))[0] > 0 for g in cubic)
