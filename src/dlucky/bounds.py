@@ -45,6 +45,9 @@ both without listing the maximum cliques; ``cocktail(n, t, r)`` has n^t.
 :func:`enumerate_maximum_cliques` takes w from search 1 and lists the
 maximal cliques of at least w vertices with the one Bron-Kerbosch search,
 :func:`_pivot_search`, which also serves :func:`enumerate_maximal_cliques`.
+It keeps its open nodes on one stack of its own, not on the call stack: the
+clique of ``corona(1000,3)`` has 1,000 vertices, as many levels as Python's
+default recursion limit allows calls.
 
 The part bound of :mod:`dlucky.parts` counts over the parts of a complete
 multipartite subgraph instead of one clique, as the paper does for the
@@ -99,52 +102,43 @@ def _greedy_clique(g: Graph) -> list[int]:
 def _pivot_search(masks: list[int], min_size: int) -> list[tuple[int, ...]]:
     """Every maximal clique with at least ``min_size`` vertices, by Bron-Kerbosch with pivoting.
 
-    Branches whose clique plus candidates fall below ``min_size`` are cut.
+    One stack holds the open nodes ``(clique, cand, done)``, so the listing
+    goes as deep as the largest clique with no recursion limit.  A node whose
+    clique plus candidates falls below ``min_size`` is cut; one with no
+    candidates is a leaf, and a maximal clique when nothing is done.  Any
+    other node branches on the candidates outside the pivot's neighborhood,
+    the pivot being the vertex of ``cand | done`` adjacent to the most
+    candidates (Tomita, Tanaka and Takahashi, TCS 2006; ties to the smallest
+    index).  The cliques come out in depth-first order, each once.
     """
     found: list[tuple[int, ...]] = []
-    if not masks:
-        return found
-    # Iterative: the search goes as deep as the largest clique, which may
-    # exceed the recursion limit.  Each open search node keeps a frame
-    # [cand, done, branch]; while one of its children is searched, that
-    # child's vertex ends ``clique``, so len(clique) == len(stack) means the
-    # top frame's child has finished.
-    clique: list[int] = []
-    stack: list[list[int]] = []
-    cand, done = (1 << len(masks)) - 1, 0
-    while True:
-        if cand == 0 and done == 0:
-            if len(clique) >= min_size:
+    stack = [([], (1 << len(masks)) - 1, 0)] if masks else []
+    while stack:
+        clique, cand, done = stack.pop()
+        if len(clique) + cand.bit_count() < min_size:
+            continue
+        if not cand:
+            if not done:
                 found.append(tuple(sorted(clique)))
-        elif len(clique) + cand.bit_count() >= min_size:
-            # pivot: vertex of cand|done covering the most candidates (ties: smallest index)
-            pool = cand | done
-            pivot = -1
-            pivot_cover = -1
-            while pool:
-                u = (pool & -pool).bit_length() - 1
-                cover = (cand & masks[u]).bit_count()
-                if cover > pivot_cover:
-                    pivot_cover = cover
-                    pivot = u
-                pool &= pool - 1
-            stack.append([cand, done, cand & ~masks[pivot]])
-        while stack:
-            frame = stack[-1]
-            if len(clique) == len(stack):
-                bit = 1 << clique.pop()
-                frame[0] &= ~bit
-                frame[1] |= bit
-            branch = frame[2]
-            if branch:
-                frame[2] = branch & (branch - 1)
-                v = (branch & -branch).bit_length() - 1
-                clique.append(v)
-                cand, done = frame[0] & masks[v], frame[1] & masks[v]
-                break
-            stack.pop()
-        else:
-            return found
+            continue
+        pool = cand | done
+        pivot = -1
+        pivot_cover = -1
+        while pool:
+            u = (pool & -pool).bit_length() - 1
+            cover = (cand & masks[u]).bit_count()
+            if cover > pivot_cover:
+                pivot_cover = cover
+                pivot = u
+            pool &= pool - 1
+        # the child of v moves the branch vertices below v from cand to done;
+        # pushed from the highest v down, the children are searched lowest first
+        branch = cand & ~masks[pivot]
+        while branch:
+            v = branch.bit_length() - 1
+            branch ^= 1 << v
+            stack.append((clique + [v], cand & ~branch & masks[v], (done | branch) & masks[v]))
+    return found
 
 
 def _omega(masks: list[int], incumbent: int) -> tuple[int, int]:

@@ -151,7 +151,10 @@ and Milano, CP 2001), on the states the memo already keeps.
 :func:`_automorphism` looks for one σ per solve among the automorphisms
 that fix the first vertex of the order, within ``SYMMETRY_STEPS`` = 400
 candidate images: the first other than the identity, which fixes the
-longest start of the order pointwise.  :func:`_memos` mirrors each
+longest start of the order pointwise.  The search recurses once per
+position, and each position it enters adds at least one candidate image,
+so ``SYMMETRY_STEPS`` also bounds its depth, well below Python's recursion
+limit.  :func:`_memos` mirrors each
 memoized depth whose placed vertices σ maps onto themselves, when σ moves
 a live vertex (one that moves none would read the key itself).  A second
 σ, for the depths the first one misses, mirrored 271 depths against 257
@@ -452,37 +455,35 @@ def _automorphism(g: Graph, order: list[int]) -> list[int] | None:
     nbits = _masks(g)  # neighbor sets as bitmasks over vertices
     identity = list(range(n))
     sigma = identity[:]
-    used = 1 << order[0]  # the images of the vertices placed so far
     steps = 0
-    tries: list = [None] * n  # per position, an iterator over its remaining candidate images
-    i, entering = 1, True
-    while i > 0:
+
+    def extend(i: int, used: int) -> bool | None:
+        # σ on order[:i] is fixed and ``used`` holds its images: True once σ
+        # is completed to an automorphism other than the identity, False when
+        # no completion is, None when the budget is spent.  Each position
+        # entered adds at least one step, as its pool is never empty (a
+        # parent's image has the parent's degree, at least 1), so the
+        # recursion is at most SYMMETRY_STEPS + 1 calls deep.
+        nonlocal steps
+        if i == n:
+            return sigma != identity
         x = order[i]
-        if entering:
-            earlier = [w for w in adj[x] if pos[w] < i]
-            pool = adj[sigma[min(earlier, key=pos.__getitem__)]] if earlier else (x,)
-            steps += len(pool)
-            if steps > SYMMETRY_STEPS:
-                return None
-            want = sum(1 << sigma[w] for w in earlier)
-            fits = [c for c in pool
-                    if not used >> c & 1 and len(adj[c]) == len(adj[x]) and nbits[c] & used == want]
-            tries[i] = iter(sorted(fits, key=x.__ne__))
-        else:
-            used ^= 1 << sigma[x]
-        c = next(tries[i], None)
-        if c is None:
-            i, entering = i - 1, False
-            continue
-        sigma[x] = c
-        used |= 1 << c
-        if i < n - 1:
-            i, entering = i + 1, True
-            continue
-        entering = False  # a full image list: try x's next candidate
-        if sigma != identity:
-            return sigma
-    return None
+        earlier = [w for w in adj[x] if pos[w] < i]
+        pool = adj[sigma[min(earlier, key=pos.__getitem__)]] if earlier else (x,)
+        steps += len(pool)
+        if steps > SYMMETRY_STEPS:
+            return None
+        want = sum(1 << sigma[w] for w in earlier)
+        fits = [c for c in pool
+                if not used >> c & 1 and len(adj[c]) == len(adj[x]) and nbits[c] & used == want]
+        for c in sorted(fits, key=x.__ne__):
+            sigma[x] = c
+            found = extend(i + 1, used | 1 << c)
+            if found is not False:
+                return found
+        return False
+
+    return sigma if extend(1, 1 << order[0]) else None
 
 
 def _memos(g: Graph, order: list[int], bits: list[int], ready: list, regular: bool) -> list:
@@ -537,9 +538,10 @@ def _memos(g: Graph, order: list[int], bits: list[int], ready: list, regular: bo
     return memos
 
 
-def _grow(g: Graph, cliques: list[tuple[int, ...]]) -> list:
+def _grow(g: Graph, cliques: list[tuple[int, ...]]) -> tuple[list, list[set[int]]]:
     """The structures :func:`parts.grow_parts` grows from the maximal cliques of
-    more than ``HALL_MIN_SIZE`` vertices, as :func:`parts.structure` builds them.
+    more than ``HALL_MIN_SIZE`` vertices, as :func:`parts.structure` builds them,
+    and the vertex set of each.
 
     One is kept when some part has 2 or more vertices.  A clique inside the
     vertices of a kept structure is not grown (all 64 cliques of
@@ -550,18 +552,20 @@ def _grow(g: Graph, cliques: list[tuple[int, ...]]) -> list:
     plus itself.
     """
     grown: list = []
+    spans: list[set[int]] = []
     big = [q for q in cliques if len(q) > HALL_MIN_SIZE]
     if len(big) < 2:
-        return grown
+        return grown, spans
     from .parts import grow_parts, structure  # not at module level: see the parts docstring
 
     for q in big:
-        if any(set(members).issuperset(q) for members, _, _ in grown):
+        if any(span.issuperset(q) for span in spans):
             continue
         parts = grow_parts(g, q)
         if len(parts) < sum(map(len, parts)):
             grown.append(structure(g, parts))
-    return grown
+            spans.append(set(grown[-1][0]))
+    return grown, spans
 
 
 def _clique_refutes(structures: list, k: int) -> bool:
@@ -600,10 +604,10 @@ def _setup(g: Graph) -> tuple[list, tuple, tuple, bool]:
     """
     adj = g._adj
     cliques = enumerate_maximal_cliques(g, min_size=3)
-    grown = _grow(g, cliques)
+    grown, spans = _grow(g, cliques)
     singles = [(q, _search.part_slots(adj, q, None), None) for q in cliques]
     tested = [single for single in singles if len(single[0]) >= HALL_MIN_SIZE
-              and not (grown and any(set(members).issuperset(single[0]) for members, _, _ in grown))]
+              and not any(span.issuperset(single[0]) for span in spans)]
     return (singles + grown, *_prepare(g, tested + grown))
 
 

@@ -215,6 +215,18 @@ def test_lower_bound_on_a_clique_deeper_than_the_recursion_limit():
     assert lower_bound_thm1(corona(complete_graph(1000), Graph(3))) == 251
 
 
+def test_the_clique_listing_has_no_depth_limit():
+    # the listing keeps its own stack: the one maximum clique of build_corona(1000, 3)'s
+    # graph is 1000 vertices deep, past the default recursion limit
+    records = enumerate_maximum_cliques(corona(complete_graph(1000), Graph(3)))
+    assert [rec.vertices for rec in records] == [tuple(range(1000))]
+    fam = build_cocktail(2, 10, 1)
+    parts = [set(fam.role_index[f"part_{j}"]) for j in range(1, 11)]
+    records = enumerate_maximum_cliques(fam.graph)
+    assert len({rec.vertices for rec in records}) == len(records) == 1024
+    assert all(all(len(part.intersection(rec.vertices)) == 1 for part in parts) for rec in records)
+
+
 def test_lower_bound_k1():
     assert lower_bound_thm1(Graph(1)) == 1
 

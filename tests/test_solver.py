@@ -2,6 +2,7 @@ import collections
 import importlib.util
 import itertools
 import random
+import sys
 from operator import itemgetter
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from dlucky import (
     verify,
 )
 from dlucky import _search, solver
+from dlucky.graph import bfs_order
 from dlucky.solver import _clique_refutes, _setup, _top
 from conftest import (
     connected_graphs,
@@ -735,6 +737,33 @@ def test_every_key_the_kernel_records_is_refuted_and_two_complement_mutants_reco
     assert all(_completable(g, _kernel_records(g, tables=k_for_k_plus_1))[0] > 0 for g in regular[:3])
     assert any(_completable(g, _kernel_records(g, tables=k_for_k_plus_1))[0] > 0 for g in cubic)
     assert all(_completable(g, _kernel_records(g, memos=on_any_graph))[0] > 0 for g in pendants)
+
+
+@pytest.mark.parametrize("g, spent, found", [
+    (build_cocktail(2, 6, 1).graph, 406, 407),
+    (generalized_petersen(9, 2), 146, 147),
+    (_prism(11), 131, 132),
+])
+def test_the_automorphism_budget_counts_every_candidate_image(monkeypatch, g, spent, found):
+    # the least budgets at which the σ search on the breadth-first order
+    # finds its σ: any change to how steps are counted moves them
+    order = bfs_order(g)
+    monkeypatch.setattr(solver, "SYMMETRY_STEPS", spent)
+    assert solver._automorphism(g, order) is None
+    monkeypatch.setattr(solver, "SYMMETRY_STEPS", found)
+    sigma = solver._automorphism(g, order)
+    assert sigma is not None and sigma != list(range(g.n))
+    assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in g.edges} == set(g.edges)
+
+
+def test_the_automorphism_search_stays_within_the_recursion_limit():
+    # each position the σ search enters costs at least one step, so its
+    # recursion is at most SYMMETRY_STEPS + 1 calls deep; on one edge and
+    # 2,998 lone vertices each position costs exactly one, the deepest the
+    # budget allows, and on a long cycle two
+    assert solver.SYMMETRY_STEPS + 100 < sys.getrecursionlimit()
+    for g in (Graph(3000, [(0, 1)]), cycle_graph(3000)):
+        assert solver._automorphism(g, bfs_order(g)) is None
 
 
 def test_mirrors_keep_eta_and_witness_and_never_add_nodes(monkeypatch):
