@@ -109,6 +109,23 @@ def test_label_writes_roles_map(tmp_path, capsys):
     assert stderr == "error: -o - and --roles - cannot both write to stdout\n"
 
 
+def test_label_rejects_two_flags_that_name_the_same_file(tmp_path, capsys, monkeypatch):
+    # the roles map would be written over the labeling; the check runs before
+    # any write, so the file keeps its old bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.json").symlink_to(tmp_path / "lab.json")
+    for out, roles in [("lab.json", "lab.json"), ("lab.json", "sub/../lab.json"),
+                       (str(tmp_path / "lab.json"), "link.json")]:
+        (tmp_path / "lab.json").write_bytes(b"old")
+        code, stdout, stderr = run(
+            capsys, "label", "corona", "--n", "3", "--r", "1", "-o", out, "--roles", roles,
+        )
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: -o {out} and --roles {roles} name the same file\n"
+        assert (tmp_path / "lab.json").read_bytes() == b"old"
+
+
 def test_round_trip_gen_label_verify(tmp_path, capsys):
     g = tmp_path / "g.json"
     lab = tmp_path / "l.json"
@@ -342,6 +359,81 @@ def test_export_dot_invalid_labeling_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "export-dot", str(g), "--labeling", str(lab))
     assert code == 2
     assert "labeling has 2 entries for a graph on 3 vertices" in err
+
+
+def _stale(path, mode=0o644):
+    """Fill ``path`` with random bytes, more than any output here, and set its mode."""
+    path.write_bytes(os.urandom(200_000))
+    path.chmod(mode)
+
+
+def _stdout_bytes(capsys, *argv):
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    return stdout.encode("utf-8")
+
+
+def test_gen_overwrites_a_longer_file_in_place(tmp_path, capsys):
+    web = tmp_path / "web.json"
+    flags = ("gen", "web", "--m", "5", "--n", "100")
+    _stale(web)
+    assert run(capsys, *flags, "-o", str(web))[0] == 0
+    assert web.read_bytes() == _stdout_bytes(capsys, *flags, "-o", "-")
+
+
+def test_label_and_export_dot_overwrite_longer_files_in_place(tmp_path, capsys):
+    flags = ("corona", "--n", "4", "--r", "2")
+    g, lab, roles, dot = (tmp_path / name for name in ("g.json", "l.json", "r.json", "g.dot"))
+    run(capsys, "gen", *flags, "-o", str(g))
+    for path in (lab, roles, dot):
+        _stale(path)
+    assert run(capsys, "label", *flags, "-o", str(lab), "--roles", str(roles))[0] == 0
+    assert lab.read_bytes() == _stdout_bytes(capsys, "label", *flags, "-o", "-")
+    assert roles.read_bytes() == _stdout_bytes(
+        capsys, "label", *flags, "-o", str(tmp_path / "x"), "--roles", "-"
+    )
+    assert run(capsys, "export-dot", str(g), "--labeling", str(lab), "-o", str(dot))[0] == 0
+    assert dot.read_bytes() == _stdout_bytes(capsys, "export-dot", str(g), "--labeling", str(lab))
+
+
+def test_an_overwritten_file_keeps_its_mode_and_its_symlink(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    _stale(target, mode=0o600)
+    link.symlink_to(target)
+    assert run(capsys, "gen", "complete", "--n", "4", "-o", str(link))[0] == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert target.read_bytes() == _stdout_bytes(capsys, "gen", "complete", "--n", "4")
+
+
+def test_output_to_dev_null_exits_0(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run(capsys, "gen", "complete", "--n", "4", "-o", str(g))
+    assert run(capsys, "gen", "complete", "--n", "4", "-o", os.devnull) == (0, "", "")
+    assert run(capsys, "export-dot", str(g), "-o", os.devnull) == (0, "", "")
+
+
+def test_a_failed_write_leaves_no_old_byte_after_the_new_ones(tmp_path, capsys, monkeypatch):
+    class HalfWriter(io.TextIOWrapper):
+        """Writes half of its text, then fails as a full disk would."""
+
+        def write(self, text):
+            super().write(text[: len(text) // 2])
+            self.flush()
+            raise OSError(28, "No space left on device")
+
+    def half_open(fd, mode, encoding):
+        return HalfWriter(io.FileIO(fd, mode), encoding=encoding)
+
+    web = tmp_path / "web.json"
+    flags = ("gen", "web", "--m", "5", "--n", "100")
+    full = _stdout_bytes(capsys, *flags)
+    _stale(web)
+    monkeypatch.setattr(cli, "open", half_open, raising=False)
+    code, stdout, stderr = run(capsys, *flags, "-o", str(web))
+    assert code == 2 and stdout == ""
+    assert stderr == "error: [Errno 28] No space left on device\n"
+    assert web.read_bytes() == full[: len(full) // 2]
 
 
 def test_unknown_flags_are_errors(capsys):
